@@ -277,8 +277,15 @@ class MirrorComm(RankComm):
         return Request("recv", self.rank, src, tag, nbytes, _xfer=xfer)
 
     def _claim(self, tag: int, side: str) -> _MirrorXfer:
-        """Get the next unclaimed xfer for ``tag`` on ``side`` (FIFO pairing)."""
+        """Get the next unclaimed xfer for ``tag`` on ``side`` (FIFO pairing).
+
+        Each side claims in FIFO order, so the fully claimed xfers form a
+        prefix of the queue; they are dropped here (their requests hold
+        their own references), keeping the scan short.
+        """
         q = self._open.setdefault(tag, deque())
+        while q and q[0].send_posted and q[0].recv_posted:
+            q.popleft()
         attr = "send_posted" if side == "send" else "recv_posted"
         for xfer in q:
             if not getattr(xfer, attr):

@@ -43,6 +43,8 @@ simulators:
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -130,19 +132,38 @@ def _stream_base(pseed: int, stream: int) -> np.uint64:
     return _U(v)
 
 
+#: Matrices whose extra-column draws stay resident (each is a read-only
+#: ``rows * extras`` int64 array: 32 MiB at the default 1M rows x 4).
+DRAW_CACHE_MATRICES = 2
+#: Rows drawn per vectorized chunk (bounds the uint64 temporaries).
+_DRAW_CHUNK_ROWS = 1 << 16
+
+
+@lru_cache(maxsize=DRAW_CACHE_MATRICES)
+def _matrix_draws(rows: int, extras: int, pseed: int) -> np.ndarray:
+    """Every row's extra columns, shape ``(rows, extras)``, read-only.
+
+    The draws are a function of ``(pseed, row, draw)`` alone, so one
+    array serves every task count and every rank's block is a slice.
+    """
+    out = np.empty((rows, extras), dtype=np.int64)
+    j = np.arange(extras, dtype=np.uint64)[None, :] * _U(0x9FB21C651E98DF25)
+    base = _stream_base(pseed, 1)
+    for lo in range(0, rows, _DRAW_CHUNK_ROWS):
+        hi = min(rows, lo + _DRAW_CHUNK_ROWS)
+        i = np.arange(lo, hi, dtype=np.uint64)[:, None]
+        z = _mix64(base ^ (i * _U(0xA24BAED4963EE407)) ^ j)
+        out[lo:hi] = z % _U(rows)
+    out.flags.writeable = False
+    return out
+
+
 def _extra_cols(rows: int, extras: int, pseed: int, lo: int, hi: int) -> np.ndarray:
     """Random extra columns of rows ``[lo, hi)``: shape ``(hi-lo, extras)``."""
     n = max(0, hi - lo)
     if extras == 0 or n == 0:
         return np.empty((n, 0), dtype=np.int64)
-    i = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    j = np.arange(extras, dtype=np.uint64)[None, :]
-    z = _mix64(
-        _stream_base(pseed, 1)
-        ^ (i * _U(0xA24BAED4963EE407))
-        ^ (j * _U(0x9FB21C651E98DF25))
-    )
-    return (z % _U(rows)).astype(np.int64)
+    return _matrix_draws(rows, extras, pseed)[lo:hi]
 
 
 def _unit_floats(base: np.uint64, idx: np.ndarray) -> np.ndarray:
@@ -182,10 +203,6 @@ class SpmvCoupling:
 
     def gather_bytes(self, peer: int) -> int:
         return 8 * len(self.gather_cols[peer])
-
-    @property
-    def total_gather_bytes(self) -> int:
-        return sum(8 * len(c) for c in self.gather_cols.values())
 
 
 class SpmvProblem:
@@ -242,19 +259,28 @@ class SpmvProblem:
             ]
         )
         extra_remote = extra_flat[(extra_flat < row0) | (extra_flat >= r1)]
-        remote = np.unique(np.concatenate([banded_remote, extra_remote]))
+        remote = np.concatenate([banded_remote, extra_remote])
+        remote.sort()
+        if len(remote) > 1:
+            keep = np.empty(len(remote), dtype=bool)
+            keep[0] = True
+            np.not_equal(remote[1:], remote[:-1], out=keep[1:])
+            remote = remote[keep]
+        remote.flags.writeable = False
+        # Sorted columns have monotone owners: one slice per owner run.
         owners = self.owner_of(remote)
+        cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(),
+                len(remote)]
         gather_cols = {
-            int(p): remote[owners == p] for p in np.unique(owners)
+            int(owners[lo]): remote[lo:hi] for lo, hi in zip(cuts, cuts[1:])
+            if hi > lo
         }
         # Entry-granular local/non-local split (Schubert's matrix parts):
         # the band's overhang outside [row0, r1) plus the remote extras.
         band_overhang = np.maximum(row0 - win_lo, 0) + np.maximum(
             win_hi - (r1 - 1), 0
         )
-        nnz_boundary = int(band_overhang.sum())
-        if extras:
-            nnz_boundary += int(((extra < row0) | (extra >= r1)).sum())
+        nnz_boundary = int(band_overhang.sum()) + len(extra_remote)
         out = SpmvCoupling(
             rank=rank,
             row0=row0,
@@ -310,9 +336,110 @@ class SpmvProblem:
         return rws, cols, vals
 
 
-@lru_cache(maxsize=8)
+#: Problem instances kept live: each holds the couplings built for it (in
+#: mirror mode only the representative's), so a tuning sweep revisiting a
+#: task count reuses its gather plan instead of rebuilding it.
+PROBLEM_CACHE = 32
+
+
+@lru_cache(maxsize=PROBLEM_CACHE)
 def _problem(rows: int, band: int, extras: int, pseed: int, ntasks: int) -> SpmvProblem:
     return SpmvProblem(rows, band, extras, pseed, ntasks)
+
+
+# -- mirror representative ---------------------------------------------------
+
+#: Matrices whose draw-prefix previous-occurrence index stays resident
+#: (one int64 per draw of the indexed prefix: at most 32 MiB each at the
+#: default 1M rows x 4 extras).
+PREV_INDEX_MATRICES = 2
+#: Memoized representative ranks, one small int per
+#: (rows, band, extras, pseed, ntasks, tasks_per_node).
+REPRESENTATIVE_CACHE = 4096
+
+#: (rows, extras, pseed) -> prev index of the flattened draws of a row
+#: prefix; least recently used first. Serve and experiment fan-out run
+#: configs on threads, hence the lock.
+_prev_index: "OrderedDict[Tuple[int, int, int], np.ndarray]" = OrderedDict()
+_prev_lock = threading.Lock()
+
+
+def _build_prev(cols: np.ndarray, rows: int) -> np.ndarray:
+    """``prev[q]``: the last position before ``q`` drawing column ``cols[q]``.
+
+    ``-1`` where ``q`` is the column's first draw. Sorting the unique key
+    ``col * m + q`` groups equal columns in position order, so each
+    group's neighbours in sorted order are consecutive occurrences.
+    """
+    m = len(cols)
+    if rows * m < 2**63:
+        key = cols * m + np.arange(m, dtype=np.int64)
+        key.sort()
+        col, pos = np.divmod(key, m)
+    else:  # keys would overflow int64: fall back to a stable argsort
+        pos = np.argsort(cols, kind="stable")
+        col = cols[pos]
+    same = col[1:] == col[:-1]
+    prev = np.full(m, -1, dtype=np.int64)
+    prev[pos[1:][same]] = pos[:-1][same]
+    return prev
+
+
+def _prev_occurrence(rows: int, extras: int, pseed: int, nrows: int) -> np.ndarray:
+    """Previous-occurrence index of the draws of rows ``[0, nrows)``.
+
+    ``prev[q]`` depends only on positions before ``q``, so an index over
+    a longer prefix answers every shorter one; the index grows
+    geometrically, so a run of growing queries costs a constant factor
+    over one build of the largest prefix.
+    """
+    key = (rows, extras, pseed)
+    with _prev_lock:
+        prev = _prev_index.get(key)
+        if prev is None or len(prev) < nrows * extras:
+            have = 0 if prev is None else len(prev) // extras
+            n = min(rows, max(nrows, 2 * have))
+            draws = _matrix_draws(rows, extras, pseed)[:n].reshape(-1)
+            prev = _build_prev(draws, rows)
+            prev.flags.writeable = False
+            _prev_index[key] = prev
+            while len(_prev_index) > PREV_INDEX_MATRICES:
+                _prev_index.popitem(last=False)
+        _prev_index.move_to_end(key)
+    return prev[: nrows * extras]
+
+
+@lru_cache(maxsize=REPRESENTATIVE_CACHE)
+def _representative(
+    rows: int, band: int, extras: int, pseed: int, ntasks: int, tpn: int
+) -> int:
+    """First rank of node 0 (ranks ``[0, tpn)``) with the most off-node
+    gather bytes: the mirror backend's worst-case rank.
+
+    Node 0 owns rows ``[0, node_end)``, so the off-node columns of the
+    block ``[row0, r1)`` are its distinct remote columns at or past
+    ``node_end``: the band's upper overhang ``[node_end, min(rows, r1 +
+    band))`` plus the distinct extra draws of the block beyond that. A
+    draw is its column's first in the block exactly when its previous
+    occurrence lies before the block.
+    """
+    if tpn == 1 or tpn >= ntasks:
+        # One candidate, or no off-node peers at all (every count is 0).
+        return 0
+    blocks = [block_range(rows, ntasks, k) for k in range(tpn)]
+    node_end = sum(blocks[-1])
+    if extras:
+        cols = _matrix_draws(rows, extras, pseed)[:node_end].reshape(-1)
+        prev = _prev_occurrence(rows, extras, pseed, node_end)
+    counts = []
+    for row0, nrows in blocks:
+        first = max(node_end, min(rows, row0 + nrows + band))
+        count = first - node_end
+        if extras:
+            a, b = row0 * extras, (row0 + nrows) * extras
+            count += int(np.count_nonzero((cols[a:b] >= first) & (prev[a:b] < a)))
+        counts.append(count)
+    return counts.index(max(counts))
 
 
 def spmv_params(cfg: RunConfig) -> Tuple[int, int, int, int]:
@@ -391,9 +518,9 @@ class SpmvRankData:
     """One rank's matrix block, vectors and gather plans (or shadow no-ops).
 
     The communication plan is data, not implementation logic, so all
-    three variants share it: ``recv_plan`` lists ``(peer, nbytes)`` of
-    the gathers this rank posts; ``send_plan`` lists
-    ``(peer, nbytes, cols)`` of what it serves. In mirror mode the send
+    three variants share it: ``recv_plan`` lists ``(peer, nbytes, tag)``
+    of the gathers this rank posts; ``send_plan`` lists
+    ``(peer, nbytes, cols, tag)`` of what it serves. In mirror mode the send
     plan mirrors the receive plan (symmetric sizing, see module doc); in
     full mode it is the exact inverse map of every peer's gather.
     """
@@ -405,31 +532,29 @@ class SpmvRankData:
         self.functional = cfg.functional
         coupling = problem.coupling(block.rank)
         self.coupling = coupling
-        self.recv_plan: List[Tuple[int, int]] = [
-            (p, coupling.gather_bytes(p)) for p in coupling.peers
+        me, ntasks = block.rank, problem.ntasks
+        self.recv_plan: List[Tuple[int, int, int]] = [
+            (p, coupling.gather_bytes(p), gather_tag(me, p, ntasks))
+            for p in coupling.peers
         ]
-        self.recv_bytes = sum(n for _, n in self.recv_plan)
+        self.recv_bytes = sum(n for _, n, _ in self.recv_plan)
         if cfg.network == "mirror":
-            self.send_plan: List[Tuple[int, int, Optional[np.ndarray]]] = [
-                (p, n, None) for p, n in self.recv_plan
+            self.send_plan: List[Tuple[int, int, Optional[np.ndarray], int]] = [
+                (p, n, None, tag) for p, n, tag in self.recv_plan
             ]
         else:
-            me = block.rank
             plan = []
-            for p in range(problem.ntasks):
+            for p in range(ntasks):
                 if p == me:
                     continue
                 cols = problem.coupling(p).gather_cols.get(me)
                 if cols is not None and len(cols):
-                    plan.append((p, 8 * len(cols), cols))
+                    plan.append((p, 8 * len(cols), cols, gather_tag(me, p, ntasks)))
             self.send_plan = plan
-        self.send_bytes = sum(n for _, n, _ in self.send_plan)
+        self.send_bytes = sum(n for _, n, _, _ in self.send_plan)
         self._remote_cols: Optional[np.ndarray] = None
         if self.functional:
             self._init_functional()
-
-    def tag(self, peer: int) -> int:
-        return gather_tag(self.block.rank, peer, self.problem.ntasks)
 
     # -- functional numerics (full backend only) ---------------------------
     def _init_functional(self) -> None:
@@ -518,13 +643,13 @@ def _post_gather(ctx: RankContext):
     data: SpmvRankData = ctx.data
     comm = ctx.comm
     recvs, sends = [], []
-    for peer, nbytes in data.recv_plan:
-        recvs.append((yield from comm.irecv(peer, data.tag(peer), nbytes)))
+    for peer, nbytes, tag in data.recv_plan:
+        recvs.append((yield from comm.irecv(peer, tag, nbytes)))
     if data.send_bytes:
         yield ctx.memcpy(data.send_bytes, GATHER_PACK_PENALTY, phase="pack")
-    for peer, nbytes, cols in data.send_plan:
+    for peer, nbytes, cols, tag in data.send_plan:
         payload = data.pack_for(cols) if cols is not None else None
-        sends.append((yield from comm.isend(peer, data.tag(peer), nbytes, payload)))
+        sends.append((yield from comm.isend(peer, tag, nbytes, payload)))
     return recvs, sends
 
 
@@ -748,15 +873,10 @@ class SpmvWorkload(Workload):
     def mirror_profile(self, cfg: RunConfig, decomp: SpmvPartition) -> MirrorProfile:
         problem = decomp.problem
         tpn = min(cfg.tasks_per_node, problem.ntasks)
-
-        def offnode_bytes(r: int) -> int:
-            c = problem.coupling(r)
-            return sum(
-                c.gather_bytes(p) for p in c.peers if p // tpn != 0
-            )
-
-        node_ranks = range(tpn)
-        rep = max(node_ranks, key=offnode_bytes)
+        rep = _representative(
+            problem.rows, problem.band, problem.extras, problem.pseed,
+            problem.ntasks, tpn,
+        )
         coupling = problem.coupling(rep)
         offnode_by_tag = {
             gather_tag(rep, p, problem.ntasks): (p // tpn != 0)

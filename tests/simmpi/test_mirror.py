@@ -82,6 +82,28 @@ class TestMirrorComm:
         deltas = [b - a for a, b in zip(times, times[1:])]
         assert all(d == pytest.approx(deltas[0], rel=1e-6) for d in deltas)
 
+    def test_claimed_transfers_leave_the_queue(self):
+        """Fully paired transfers are dropped: the per-tag queue stays short."""
+        env, comm, _ = make_comm()
+        tags = (halo_tag(0, -1), halo_tag(1, 1), halo_tag(2, -1))
+        longest = []
+
+        def prog():
+            for _ in range(200):
+                reqs = []
+                for t in tags:
+                    reqs.append((yield from comm.irecv(7, t, 100_000)))
+                for t in tags:
+                    reqs.append((yield from comm.isend(8, t, 100_000)))
+                for req in reqs:
+                    yield from comm.wait(req)
+                longest.append(max(len(q) for q in comm._open.values()))
+
+        env.process(prog())
+        env.run()
+        assert len(longest) == 200
+        assert max(longest) <= 2
+
     def test_onnode_cheaper_than_offnode(self):
         env, comm, prof = make_comm(64, 4)
         durations = {}

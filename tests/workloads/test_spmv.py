@@ -11,7 +11,9 @@ from repro.obs.invariants import assert_invariants
 from repro.workloads import get_workload
 from repro.workloads.spmv import (
     DEFAULT_SPMV_PARAMS,
+    SpmvPartition,
     SpmvProblem,
+    _representative,
     gather_tag,
     initial_x,
     spmv_params,
@@ -110,6 +112,129 @@ class TestProblem:
             np.concatenate([initial_x(1, 0, 400), initial_x(1, 400, 1000)]),
             full,
         )
+
+
+# -- reference definitions (the original per-rank formulation) -------------
+
+def _ref_extra_cols(rows, extras, pseed, lo, hi):
+    """Per-block SplitMix64 draws, computed directly for rows [lo, hi)."""
+    n = max(0, hi - lo)
+    if extras == 0 or n == 0:
+        return np.empty((n, 0), dtype=np.int64)
+    u = np.uint64
+    i = np.arange(lo, hi, dtype=np.uint64)[:, None]
+    j = np.arange(extras, dtype=np.uint64)[None, :]
+    z = u((pseed * 0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9) & ((1 << 64) - 1))
+    z = z ^ (i * u(0xA24BAED4963EE407)) ^ (j * u(0x9FB21C651E98DF25))
+    z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    z = z ^ (z >> u(31))
+    return (z % u(rows)).astype(np.int64)
+
+
+def _ref_coupling(pr, rank):
+    """(nnz, nnz_boundary, gather_cols) via np.unique and owner masks."""
+    rows, band, extras = pr.rows, pr.band, pr.extras
+    row0, nrows = pr.block(rank)
+    r1 = row0 + nrows
+    i = np.arange(row0, r1, dtype=np.int64)
+    win_lo = np.maximum(i - band, 0)
+    win_hi = np.minimum(i + band, rows - 1)
+    nnz = int((win_hi - win_lo + 1).sum()) + extras * nrows
+    extra = _ref_extra_cols(rows, extras, pr.pseed, row0, r1)
+    flat = extra.reshape(-1)
+    banded_remote = np.concatenate([
+        np.arange(max(0, row0 - band), row0, dtype=np.int64),
+        np.arange(r1, min(rows, r1 + band), dtype=np.int64),
+    ])
+    remote = np.unique(
+        np.concatenate([banded_remote, flat[(flat < row0) | (flat >= r1)]])
+    )
+    owners = pr.owner_of(remote)
+    gather_cols = {int(p): remote[owners == p] for p in np.unique(owners)}
+    overhang = np.maximum(row0 - win_lo, 0) + np.maximum(win_hi - (r1 - 1), 0)
+    boundary = int(overhang.sum())
+    if extras:
+        boundary += int(((extra < row0) | (extra >= r1)).sum())
+    return nnz, boundary, gather_cols
+
+
+def _ref_representative(couplings, ntasks, tasks_per_node):
+    """First node-0 rank with the most off-node gather bytes."""
+    tpn = min(tasks_per_node, ntasks)
+
+    def offnode_bytes(r):
+        gc = couplings[r]
+        return sum(8 * len(gc[p]) for p in gc if p // tpn != 0)
+
+    return max(range(tpn), key=offnode_bytes)
+
+
+class TestAgainstReference:
+    """Coupling and mirror representative equal the original definitions."""
+
+    @pytest.mark.parametrize("rows,band,extras,ntasks,tpns", [
+        (4096, 8, 2, 8, (1,)),                  # tpn == 1
+        (4096, 8, 2, 8, (8,)),                  # tpn == ntasks
+        (4096, 8, 2, 8, (12, 64)),              # tasks_per_node > ntasks
+        (4096, 0, 0, 8, (1, 2, 3, 4, 8)),       # band = 0 and extras = 0
+        (4096, 0, 3, 8, (2, 4)),                # band = 0 only
+        (4096, 8, 0, 8, (2, 4)),                # extras = 0 only
+        (1001, 8, 3, 7, (2, 3, 4, 6)),          # rows % ntasks != 0
+        (1000, 300, 2, 16, (2, 3, 5, 8, 15)),   # band wider than a row block
+        (97, 40, 5, 97, (2, 7, 50, 96)),        # one-row blocks
+        (5000, 48, 4, 32, (2, 4, 16)),          # many peers, dense duplicates
+    ])
+    def test_coupling_and_representative(self, rows, band, extras, ntasks, tpns):
+        pr = SpmvProblem(rows, band, extras, 5, ntasks)
+        ref = {}
+        for r in range(ntasks):
+            nnz, boundary, gather_cols = _ref_coupling(pr, r)
+            got = pr.coupling(r)
+            assert (got.nnz, got.nnz_boundary) == (nnz, boundary)
+            assert got.nnz_interior == nnz - boundary
+            assert list(got.gather_cols) == list(gather_cols)
+            for p, cols in gather_cols.items():
+                assert got.gather_cols[p].dtype == cols.dtype
+                assert np.array_equal(got.gather_cols[p], cols)
+            ref[r] = gather_cols
+        for tpn in tpns:
+            assert _representative(rows, band, extras, 5, ntasks, tpn) == \
+                _ref_representative(ref, ntasks, tpn)
+
+    @pytest.mark.parametrize("machine,cores,threads", [
+        (JAGUARPF, 48, 6),     # 8 tasks, 2 per node
+        (JAGUARPF, 96, 1),     # 96 tasks, 12 per node
+        (A100_SXM, 256, 16),   # 16 tasks, 4 per node
+        (YONA, 12, 6),         # single node
+    ])
+    def test_mirror_profile_picks_the_reference_rank(self, machine, cores, threads):
+        cfg = _cfg(machine, "bulk", cores, threads)
+        wl = get_workload("spmv")
+        part = wl.decompose(cfg)
+        pr = part.problem
+        ref = {r: _ref_coupling(pr, r)[2] for r in range(cfg.tasks_per_node)}
+        prof = wl.mirror_profile(cfg, part)
+        assert prof.representative_rank == \
+            _ref_representative(ref, pr.ntasks, cfg.tasks_per_node)
+
+    def test_single_node_profile_builds_one_coupling(self):
+        cfg = _cfg(JAGUARPF, "bulk", 12, 1)
+        assert cfg.ntasks == cfg.tasks_per_node == 12
+        rows, band, extras = 4096, 8, 2
+        part = SpmvPartition(SpmvProblem(rows, band, extras, 1, cfg.ntasks))
+        built = []
+        coupling = part.problem.coupling
+
+        def counting(rank):
+            if rank not in built:
+                built.append(rank)
+            return coupling(rank)
+
+        part.problem.coupling = counting
+        prof = get_workload("spmv").mirror_profile(cfg, part)
+        assert prof.representative_rank == 0
+        assert built == [0]
 
 
 class TestParams:
