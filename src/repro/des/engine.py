@@ -645,6 +645,37 @@ class Environment:
         bucket.append(to)
         return to
 
+    def timeout_at(self, t: float, value: Any = None) -> Timeout:
+        """Create an event that fires at absolute simulated time ``t``.
+
+        For callers that fold several delays into one completion time
+        themselves (the mirror MPI backend): ``t`` must come from the same
+        ``now + delay`` additions :meth:`timeout` would perform, so it lands
+        in the same bucket. ``t == now`` joins the live cohort like a zero
+        delay; a ``t`` in the past raises :class:`ValueError`. Float64 time
+        base only.
+        """
+        if self._scale is not None:
+            raise SimulationError(
+                "timeout_at() needs the float64 time base (absolute times "
+                "are not tick counts)"
+            )
+        if not t >= self._now:
+            raise ValueError(f"timeout_at({t!r}) is in the past (now={self._now!r})")
+        to = _TIMEOUT_NEW(Timeout)
+        to.env = self
+        to.callbacks = []
+        to._state = _TRIGGERED
+        to._ok = True
+        to._value = value
+        cur = self._cur
+        if t == self._now and cur is not None:
+            cur.append(_EVENT)
+            cur.append(to)
+        else:
+            self._insert(t, _EVENT, to)
+        return to
+
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:

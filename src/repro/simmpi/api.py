@@ -9,7 +9,7 @@ the paper's overlap experiments hinge on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Tuple
 
 __all__ = ["halo_tag", "HALO_TAGS", "Request", "RankComm"]
 
@@ -62,6 +62,23 @@ class RankComm:
     def irecv(self, src: int, tag: int, nbytes: int):
         """Generator: post a nonblocking receive; returns a :class:`Request`."""
         raise NotImplementedError
+
+    def irecv_all(self, specs: Iterable[Tuple[int, int, int]]):
+        """Generator: post one :meth:`irecv` per ``(src, tag, nbytes)``, in
+        order; returns the requests. A backend may fold the batch into one
+        wake-up of the calling process."""
+        reqs = []
+        for src, tag, nbytes in specs:
+            reqs.append((yield from self.irecv(src, tag, nbytes)))
+        return reqs
+
+    def isend_all(self, specs: Iterable[Tuple[int, int, int, Any]]):
+        """Generator: post one :meth:`isend` per ``(dst, tag, nbytes,
+        payload)``, in order; returns the requests."""
+        reqs = []
+        for dst, tag, nbytes, payload in specs:
+            reqs.append((yield from self.isend(dst, tag, nbytes, payload)))
+        return reqs
 
     def wait(self, request: Request):
         """Generator: block until ``request`` completes.

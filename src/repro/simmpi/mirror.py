@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.des import Environment, Event
+from repro.des import Environment, SimulationError
 from repro.decomp.partition import Decomposition
 from repro.machines.spec import InterconnectSpec, MachineSpec, NodeSpec, ProgressModel
 from repro.simmpi.api import RankComm, Request, halo_tag
@@ -95,24 +95,53 @@ class MirrorProfile:
         return self.nic_share_by_tag.get(tag, max(1.0, float(self.tasks_per_node)))
 
 
-class _MirrorXfer:
-    __slots__ = ("tag", "nbytes", "send_posted", "recv_posted", "bg_done", "fg_done",
-                 "fg_started", "eager", "local")
+def _after(t: float, d: float) -> float:
+    """``t + d`` by the engine's delay rule (:meth:`Environment.timeout`).
 
-    def __init__(self, tag: int, env: Environment):
+    Adds only a positive ``d`` (a zero delay leaves ``t`` as it is, bit for
+    bit) and rejects a negative one, so a time folded here is the float the
+    engine would have produced by scheduling the same delays one by one.
+    """
+    if d > 0:
+        return t + d
+    if d == 0:
+        return t
+    raise ValueError(f"negative delay: {d!r}")
+
+
+class _MirrorXfer:
+    """One mirrored transfer: its timing is two floats, not DES events.
+
+    ``bg_end`` is set when the transfer becomes ready (both ends posted, or
+    only the send for eager and on-node messages); ``fg_end`` by the first
+    wait that finds the background part done.
+    """
+
+    __slots__ = ("tag", "nbytes", "send_posted", "recv_posted", "bg_end", "fg_end",
+                 "eager", "local", "rate")
+
+    def __init__(self, tag: int):
         self.tag = tag
         self.nbytes = 0
         self.send_posted = False
         self.recv_posted = False
-        self.bg_done: Event = env.event()
-        self.fg_done: Optional[Event] = None
-        self.fg_started = False
+        self.bg_end: Optional[float] = None
+        self.fg_end: Optional[float] = None
         self.eager = False
         self.local = False
+        self.rate = 0.0
 
 
 class MirrorComm(RankComm):
-    """The representative rank's communicator.
+    """The representative rank's communicator, in closed form.
+
+    Nothing but this communicator touches a mirrored transfer, so its
+    timing depends only on when it was posted and on per-run constants:
+    each transfer's completion is computed as a float when it is posted
+    (background) or first waited on (foreground), with the same sequential
+    additions the engine would make, and a call costs the calling process
+    at most one engine wake-up — one per batch for :meth:`irecv_all`,
+    :meth:`isend_all` and :meth:`waitall` (docs/MODEL.md §4).
 
     Functional payloads are not supported (there are no real peers); use the
     full backend for functional runs. In mirror mode a receive's payload is
@@ -124,7 +153,25 @@ class MirrorComm(RankComm):
         self.profile = profile
         self.rank = profile.representative_rank
         self.nranks = profile.nranks
-        self._open: Dict[int, deque] = {}  # tag -> xfers awaiting a send/recv claim
+        self._open: Dict[int, deque] = {}  # tag -> xfers posted on one side only
+        ic = profile.interconnect
+        # Per-run constants of the fold: each is the float a message would
+        # compute from the specs, evaluated once.
+        self._cpu_s = ic.per_message_cpu_us * 1e-6
+        self._memcpy_bps = profile.node.memcpy_bandwidth_gbs * 1e9
+        self._eager_max = ic.eager_threshold_bytes
+        # (latency, background fraction) by protocol; foreground share by
+        # eagerness. The progress model enters only through these.
+        self._local_bg = (0.5e-6, 1.0)
+        self._eager_bg = (ic.latency_s, ic.background_fraction(eager=True))
+        self._rendezvous_bg = (2.0 * ic.latency_s, ic.background_fraction(eager=False))
+        self._fg_share = {
+            eager: 1.0 - ic.background_fraction(eager) for eager in (False, True)
+        }
+        self._progress_lane = (
+            "mpi" if ic.progress is ProgressModel.MANUAL_POLL else "progress"
+        )
+        self._links: Dict[int, tuple] = {}  # tag -> (local, wire rate)
         #: optional repro.obs tracer: transfer intervals on the "mpi" lane
         #: plus isend/irecv marks (matched per tag by the invariant checker).
         self.tracer = None
@@ -138,12 +185,10 @@ class MirrorComm(RankComm):
         self.bytes_received = 0
 
     # -- helpers --------------------------------------------------------------
-    def _overhead(self):
-        return self.env.timeout(self.profile.interconnect.per_message_cpu_us * 1e-6)
-
-    def _wire_rate(self, xfer: _MirrorXfer) -> float:
+    def _wire_rate(self, xfer) -> float:
+        """Bytes/s of the wire ``xfer`` (anything with ``local``/``tag``) uses."""
         if xfer.local:
-            return self.profile.node.memcpy_bandwidth_gbs * 1e9
+            return self._memcpy_bps
         share = self.profile.nic_share(xfer.tag)
         npn = self.profile.interconnect.nics_per_node
         if npn > 1:
@@ -153,164 +198,180 @@ class MirrorComm(RankComm):
             share = max(1.0, share / npn)
         return self.profile.interconnect.bandwidth_bps / share
 
-    def _maybe_start_background(self, xfer: _MirrorXfer) -> None:
-        ic = self.profile.interconnect
+    def _start_background(self, xfer: _MirrorXfer, t: float) -> None:
+        """Fix ``xfer.bg_end`` for a transfer that became ready at ``t``."""
         if xfer.local:
-            ready = xfer.send_posted
-            frac = 1.0
-            lat = 0.5e-6
+            lat, frac = self._local_bg
         elif xfer.eager:
-            # Eager sends need only the sender posted; how much of the wire
-            # then moves without host attention is the progress model's call
-            # (manual-poll: nothing — paper ref [1] — a progress engine
-            # drains the unexpected queue on its own).
-            ready = xfer.send_posted
-            frac = ic.background_fraction(eager=True)
-            lat = ic.latency_s
+            # How much of an eager wire moves without host attention is the
+            # progress model's call (manual-poll: nothing — paper ref [1] —
+            # a progress engine drains the unexpected queue on its own).
+            lat, frac = self._eager_bg
         else:
-            ready = xfer.send_posted and xfer.recv_posted
-            frac = ic.background_fraction(eager=False)
-            lat = 2.0 * ic.latency_s
-        if not ready or xfer.bg_done.triggered:
-            return
+            lat, frac = self._rendezvous_bg
         wire_mult = 1.0
         perturb = self.perturb
         if perturb is not None and not xfer.local:
             lat = lat * perturb.latency_factor(self.rank) + perturb.message_delay(
-                self.rank, self.env.now
+                self.rank, t
             )
             wire_mult = perturb.wire_factor(self.rank)
-        tracer = self.tracer
-        if tracer is not None:
-            start = self.env.now
-            lane = (
-                "mpi"
-                if xfer.local or ic.progress is ProgressModel.MANUAL_POLL
-                else "progress"
-            )
-            xfer.bg_done.callbacks.append(
-                lambda _ev, s=start, x=xfer, lane=lane: tracer.record(
-                    lane, f"bg t{x.tag}", s, self.env.now,
-                    group=self.rank, cat="comm",
-                    args={"tag": x.tag, "nbytes": x.nbytes,
-                          "stage": "background"},
-                )
-            )
-        # Callback-chained completion (latency slot, then wire slot) replaces
-        # the bg() generator process. Two separate slots — not one at
-        # ``lat + wire`` — so the time arithmetic ``(now + lat) + wire``
-        # matches the seed engine bit-for-bit. On the flat event core each
-        # slot is two appends into the time bucket (no per-hop allocation).
+        # Latency, then wire: two additions, never ``t + (lat + wire)``,
+        # which rounds differently (docs/MODEL.md §7).
+        end = _after(t, lat)
         if frac > 0:
-            def after_latency(_a, *, xfer=xfer, frac=frac, mult=wire_mult):
-                self.env.schedule(
-                    frac * xfer.nbytes * mult / self._wire_rate(xfer),
-                    xfer.bg_done.succeed,
-                )
+            end = _after(end, frac * xfer.nbytes * wire_mult / xfer.rate)
+        xfer.bg_end = end
+        if self.tracer is not None:
+            self.tracer.record(
+                "mpi" if xfer.local else self._progress_lane, f"bg t{xfer.tag}",
+                t, end, group=self.rank, cat="comm",
+                args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "background"},
+            )
 
-            self.env.schedule(lat, after_latency)
-        else:
-            self.env.schedule(lat, xfer.bg_done.succeed)
-
-    def _ensure_foreground(self, xfer: _MirrorXfer) -> Event:
-        if xfer.fg_done is None:
-            xfer.fg_done = self.env.event()
-        if not xfer.fg_started:
-            xfer.fg_started = True
-            bg_frac = self.profile.interconnect.background_fraction(xfer.eager)
-            remainder = (1.0 - bg_frac) * xfer.nbytes
-            if self.perturb is not None and not xfer.local and remainder > 0:
+    def _start_foreground(self, xfer: _MirrorXfer, t: float) -> None:
+        """Fix ``xfer.fg_end`` for a wait that reaches it at ``t``."""
+        remainder = self._fg_share[xfer.eager] * xfer.nbytes
+        if remainder > 0:
+            if self.perturb is not None:
                 remainder *= self.perturb.wire_factor(self.rank)
-            done = xfer.fg_done
-            tracer = self.tracer
-            if tracer is not None and remainder > 0:
-                start = self.env.now
-                done.callbacks.append(
-                    lambda _ev, s=start, x=xfer: tracer.record(
-                        "mpi", f"fg t{x.tag}", s, self.env.now,
-                        group=self.rank, cat="comm",
-                        args={"tag": x.tag, "nbytes": x.nbytes,
-                              "stage": "foreground"},
-                    )
+            end = _after(t, remainder / xfer.rate)
+            if self.tracer is not None:
+                self.tracer.record(
+                    "mpi", f"fg t{xfer.tag}", t, end, group=self.rank, cat="comm",
+                    args={"tag": xfer.tag, "nbytes": xfer.nbytes,
+                          "stage": "foreground"},
                 )
-            if remainder > 0:
-                self.env.schedule(remainder / self._wire_rate(xfer), done.succeed)
-            else:
-                done.succeed()
-        return xfer.fg_done
+        else:
+            end = t
+        xfer.fg_end = end
+
+    def _claim(self, tag: int, send: bool) -> _MirrorXfer:
+        """The oldest xfer of ``tag`` still missing this side, or a new one.
+
+        ``tag``'s queue holds the xfers posted on one side only, oldest
+        first. They all miss the same side — a post pairs with the oldest
+        xfer missing its side before it would open a new one — so FIFO
+        pairing is a look at the head, and a paired xfer leaves the queue
+        (its requests hold their own references).
+        """
+        q = self._open.get(tag)
+        if q:
+            head = q[0]
+            if not (head.send_posted if send else head.recv_posted):
+                return q.popleft()
+        xfer = _MirrorXfer(tag)
+        if q is None:
+            self._open[tag] = deque((xfer,))
+        else:
+            q.append(xfer)
+        return xfer
 
     # -- API ---------------------------------------------------------------
     def isend(self, dst: int, tag: int, nbytes: int, payload: Any = None):
         """Post the representative rank's send; mirrors the matching recv."""
-        if payload is not None:
-            raise ValueError("mirror backend cannot carry functional payloads")
-        yield self._overhead()
-        xfer = self._claim(tag, "send")
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        if self.tracer is not None:
-            self.tracer.mark(
-                "mpi", "isend", self.env.now, group=self.rank, cat="comm",
-                args={"tag": tag, "nbytes": nbytes},
-            )
-        xfer.nbytes = nbytes
-        xfer.eager = nbytes <= self.profile.interconnect.eager_threshold_bytes
-        xfer.local = not self.profile.is_offnode(tag)
-        xfer.send_posted = True
-        self._maybe_start_background(xfer)
-        return Request("send", self.rank, dst, tag, nbytes, _xfer=xfer)
+        reqs = yield from self.isend_all(((dst, tag, nbytes, payload),))
+        return reqs[0]
 
     def irecv(self, src: int, tag: int, nbytes: int):
         """Post a receive; pairs with this rank's own send of ``tag``."""
-        yield self._overhead()
-        xfer = self._claim(tag, "recv")
-        self.messages_received += 1
-        self.bytes_received += nbytes
-        if self.tracer is not None:
-            self.tracer.mark(
-                "mpi", "irecv", self.env.now, group=self.rank, cat="comm",
-                args={"tag": tag, "nbytes": nbytes},
-            )
-        xfer.recv_posted = True
-        if xfer.send_posted:
-            self._maybe_start_background(xfer)
-        return Request("recv", self.rank, src, tag, nbytes, _xfer=xfer)
-
-    def _claim(self, tag: int, side: str) -> _MirrorXfer:
-        """Get the next unclaimed xfer for ``tag`` on ``side`` (FIFO pairing).
-
-        Each side claims in FIFO order, so the fully claimed xfers form a
-        prefix of the queue; they are dropped here (their requests hold
-        their own references), keeping the scan short.
-        """
-        q = self._open.setdefault(tag, deque())
-        while q and q[0].send_posted and q[0].recv_posted:
-            q.popleft()
-        attr = "send_posted" if side == "send" else "recv_posted"
-        for xfer in q:
-            if not getattr(xfer, attr):
-                return xfer
-        xfer = _MirrorXfer(tag, self.env)
-        q.append(xfer)
-        return xfer
+        reqs = yield from self.irecv_all(((src, tag, nbytes),))
+        return reqs[0]
 
     def wait(self, request: Request):
         """Block until the mirrored transfer completes."""
-        if request.completed:
-            return None
-        xfer: _MirrorXfer = request._xfer
-        if xfer.eager and not xfer.local and request.kind == "send":
-            request.completed = True  # buffered; only the receiver waits
-            return None
-        if not xfer.bg_done.processed:
-            yield xfer.bg_done
-        if not xfer.local:
-            yield self._ensure_foreground(xfer)
-        if (xfer.local or xfer.eager) and request.kind == "recv":
-            rate = self.profile.node.memcpy_bandwidth_gbs * 1e9
-            yield self.env.timeout(xfer.nbytes / rate)
-        request.completed = True
+        yield from self.waitall((request,))
         return None
+
+    def isend_all(self, specs: Iterable[Tuple[int, int, int, Any]]):
+        """Post each send at its own post time; the rank wakes up once."""
+        env = self.env
+        t = env.now
+        reqs = []
+        for dst, tag, nbytes, payload in specs:
+            if payload is not None:
+                raise ValueError("mirror backend cannot carry functional payloads")
+            t = _after(t, self._cpu_s)
+            xfer = self._claim(tag, True)
+            self.messages_sent += 1
+            self.bytes_sent += nbytes
+            if self.tracer is not None:
+                self.tracer.mark(
+                    "mpi", "isend", t, group=self.rank, cat="comm",
+                    args={"tag": tag, "nbytes": nbytes},
+                )
+            xfer.nbytes = nbytes
+            xfer.eager = nbytes <= self._eager_max
+            link = self._links.get(tag)
+            if link is None:  # first message under this tag: per-run constants
+                xfer.local = not self.profile.is_offnode(tag)
+                link = self._links[tag] = (xfer.local, self._wire_rate(xfer))
+            xfer.local, xfer.rate = link
+            xfer.send_posted = True
+            # On-node and eager sends need only the sender posted; a
+            # rendezvous transfer starts once the receive is posted too.
+            if xfer.local or xfer.eager or xfer.recv_posted:
+                self._start_background(xfer, t)
+            reqs.append(Request("send", self.rank, dst, tag, nbytes, _xfer=xfer))
+        if t != env.now:
+            yield env.timeout_at(t)
+        return reqs
+
+    def irecv_all(self, specs: Iterable[Tuple[int, int, int]]):
+        """Post each receive at its own post time; the rank wakes up once."""
+        env = self.env
+        t = env.now
+        reqs = []
+        for src, tag, nbytes in specs:
+            t = _after(t, self._cpu_s)
+            xfer = self._claim(tag, False)
+            self.messages_received += 1
+            self.bytes_received += nbytes
+            if self.tracer is not None:
+                self.tracer.mark(
+                    "mpi", "irecv", t, group=self.rank, cat="comm",
+                    args={"tag": tag, "nbytes": nbytes},
+                )
+            xfer.recv_posted = True
+            if xfer.send_posted and xfer.bg_end is None:
+                self._start_background(xfer, t)
+            reqs.append(Request("recv", self.rank, src, tag, nbytes, _xfer=xfer))
+        if t != env.now:
+            yield env.timeout_at(t)
+        return reqs
+
+    def waitall(self, requests: Iterable[Request]):
+        """Wait on each request in turn; the rank wakes up once, at the end."""
+        env = self.env
+        t = env.now
+        payloads = []
+        for request in requests:
+            payloads.append(None)
+            if request.completed:
+                continue
+            request.completed = True
+            xfer: _MirrorXfer = request._xfer
+            if xfer.eager and not xfer.local and request.kind == "send":
+                continue  # buffered; only the receiver waits
+            if xfer.bg_end is None:
+                missing = "receive" if xfer.send_posted else "send"
+                raise SimulationError(
+                    f"mirror wait on a {request.kind} with tag {xfer.tag} can "
+                    f"never complete: the representative rank's own {missing} "
+                    "under that tag was never posted"
+                )
+            if xfer.bg_end > t:
+                t = xfer.bg_end
+            if not xfer.local:
+                if xfer.fg_end is None:
+                    self._start_foreground(xfer, t)
+                if xfer.fg_end > t:
+                    t = xfer.fg_end
+            if (xfer.local or xfer.eager) and request.kind == "recv":
+                t = _after(t, xfer.nbytes / self._memcpy_bps)
+        if t != env.now:
+            yield env.timeout_at(t)
+        return payloads
 
     def barrier(self):
         """Log-depth barrier cost (no peers to actually synchronize)."""

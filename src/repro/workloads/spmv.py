@@ -642,26 +642,24 @@ def _post_gather(ctx: RankContext):
     """Post the sweep's gather exchange; returns (recv_reqs, send_reqs)."""
     data: SpmvRankData = ctx.data
     comm = ctx.comm
-    recvs, sends = [], []
-    for peer, nbytes, tag in data.recv_plan:
-        recvs.append((yield from comm.irecv(peer, tag, nbytes)))
+    recvs = yield from comm.irecv_all(
+        [(peer, tag, nbytes) for peer, nbytes, tag in data.recv_plan]
+    )
     if data.send_bytes:
         yield ctx.memcpy(data.send_bytes, GATHER_PACK_PENALTY, phase="pack")
-    for peer, nbytes, cols, tag in data.send_plan:
-        payload = data.pack_for(cols) if cols is not None else None
-        sends.append((yield from comm.isend(peer, tag, nbytes, payload)))
+    sends = yield from comm.isend_all(
+        [(peer, tag, nbytes, data.pack_for(cols) if cols is not None else None)
+         for peer, nbytes, cols, tag in data.send_plan]
+    )
     return recvs, sends
 
 
 def _complete_gather(ctx: RankContext, recvs, sends):
     """Wait out the gather; unpack received x entries."""
     data: SpmvRankData = ctx.data
-    comm = ctx.comm
-    for req in recvs:
-        payload = yield from comm.wait(req)
+    payloads = yield from ctx.comm.waitall(recvs + sends)
+    for req, payload in zip(recvs, payloads):
         data.unpack(req.peer, payload)
-    for req in sends:
-        yield from comm.wait(req)
     if data.recv_bytes:
         yield ctx.memcpy(data.recv_bytes, GATHER_PACK_PENALTY, phase="unpack")
 

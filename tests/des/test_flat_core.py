@@ -6,8 +6,8 @@ that bucket-FIFO draining is observably identical to a global
 ``(time, counter)`` priority queue. These tests check that claim directly:
 
 * a hypothesis property test executes randomized programs — mixes of event
-  timeouts, bare callback slots, cancellable slots (some tombstoned), and
-  zero-delay bursts, nested so that entries are scheduled both up front and
+  timeouts, absolute-time timeouts, bare callback slots, cancellable slots
+  (some tombstoned), and zero-delay bursts, nested so that entries are scheduled both up front and
   from inside running cohorts — on the real engine and on an oracle-simple
   reference executor, and requires the exact same firing order;
 * deterministic stress tests hammer tombstone cancellation (cancel-heavy
@@ -34,7 +34,7 @@ from repro.des import Environment, SimulationError
 # ---------------------------------------------------------------------------
 
 _DELAYS = [0.0, 0.0, 0.25, 0.5, 1.0]  # 0.0 twice: bias toward same-time bursts
-_KINDS = ["event", "slot", "cancellable"]
+_KINDS = ["event", "event_at", "slot", "cancellable"]
 
 
 def _label_program(program):
@@ -95,6 +95,9 @@ def run_engine(program):
 
         if kind == "event":
             ev = env.timeout(delay, label)
+            ev.callbacks.append(fire)
+        elif kind == "event_at":
+            ev = env.timeout_at(env.now + delay, label)
             ev.callbacks.append(fire)
         elif kind == "slot":
             env.schedule(delay, fire)
@@ -164,6 +167,85 @@ class TestOrderEquivalence:
         env.schedule(1.0, order.append, "sibling")
         env.run()
         assert order == ["spawn", "sibling", "child", "child-ev"]
+
+
+class TestTimeoutAt:
+    """``timeout_at(t)`` is a Timeout scheduled by absolute time."""
+
+    def test_fifo_against_same_time_entries(self):
+        """It takes its place in the bucket at ``t`` by scheduling order:
+        after entries scheduled earlier for ``t``, before later ones."""
+        env = Environment()
+        order = []
+        env.schedule(1.0, order.append, "s0")
+        env.timeout(1.0, "e0").callbacks.append(lambda ev: order.append(ev.value))
+        env.timeout_at(1.0, "at").callbacks.append(lambda ev: order.append(ev.value))
+        env.schedule_cancellable(1.0, order.append, "c0")
+        env.schedule(1.0, order.append, "s1")
+        env.timeout_at(0.5, "early").callbacks.append(lambda ev: order.append(ev.value))
+        env.run()
+        assert order == ["early", "s0", "e0", "at", "c0", "s1"]
+
+    def test_same_float_as_a_relative_timeout(self):
+        """A time folded from ``now + d`` lands in the bucket ``timeout(d)``
+        would use (one cohort, scheduling order kept)."""
+        env = Environment()
+        order = []
+
+        def at_three_tenths(_a):
+            t = env.now + 0.2  # 0.1 + 0.2 != 0.3 in float64
+            env.timeout(0.2, "rel").callbacks.append(lambda ev: order.append(ev.value))
+            env.timeout_at(t, "abs").callbacks.append(
+                lambda ev: order.append((ev.value, env.now))
+            )
+
+        env.schedule(0.1, at_three_tenths)
+        env.run()
+        assert order == ["rel", ("abs", 0.1 + 0.2)]
+
+    def test_now_inside_a_cohort_joins_the_live_cohort(self):
+        env = Environment()
+        order = []
+
+        def spawn(_a):
+            order.append("spawn")
+            env.timeout_at(env.now, "now").callbacks.append(
+                lambda ev: order.append((ev.value, env.now))
+            )
+
+        env.schedule(1.0, spawn)
+        env.schedule(1.0, order.append, "sibling")
+        env.run()
+        assert order == ["spawn", "sibling", ("now", 1.0)]
+
+    def test_now_outside_a_cohort(self):
+        env = Environment(initial_time=2.0)
+        fired = []
+        env.timeout_at(2.0, "x").callbacks.append(lambda ev: fired.append(env.now))
+        env.run()
+        assert fired == [2.0]
+
+    def test_process_resumes_at_t(self):
+        env = Environment()
+
+        def prog():
+            v = yield env.timeout_at(0.75, "v")
+            return v, env.now
+
+        assert env.run(until=env.process(prog())) == ("v", 0.75)
+
+    def test_past_time_raises(self):
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        with pytest.raises(ValueError, match="past"):
+            env.timeout_at(0.5)
+        assert env.peek() == float("inf")  # nothing was scheduled
+
+    def test_tick_clock_raises(self):
+        env = Environment(quantum=0.25)
+        with pytest.raises(SimulationError, match="float64"):
+            env.timeout_at(1.0)
 
 
 class TestCancellation:

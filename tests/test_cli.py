@@ -156,3 +156,26 @@ class TestSweepModes:
         rc = main(_sweep_args("--fabric", str(tmp_path / "fab"),
                               "--shards", "0"))
         assert rc == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_repro_list(self):
+        """``python -m repro`` runs the CLI (DESIGN.md S12)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "list"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
