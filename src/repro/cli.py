@@ -15,6 +15,7 @@
     advection-repro trace --machine yona --impl hybrid_overlap --out t.json
     advection-repro trace --experiments all --fast --check
     advection-repro serve --port 7753 --jobs 4 --journal serve.jsonl
+    advection-repro cache migrate .repro-cache  # fold in an old layout
 """
 
 from __future__ import annotations
@@ -211,6 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="seconds SIGTERM waits for in-flight jobs "
                              "before closing anyway")
+
+    cachep = sub.add_parser("cache", help="run-cache maintenance")
+    cache_sub = cachep.add_subparsers(dest="cache_command", required=True)
+    migp = cache_sub.add_parser(
+        "migrate",
+        help="fold entries of the old per-file cache layouts into the "
+             "shard logs and remove the old files",
+    )
+    migp.add_argument("dir", metavar="DIR", help="run-cache directory")
 
     valp = sub.add_parser("validate", help="run every correctness oracle")
     valp.add_argument("--impl", default="all",
@@ -696,6 +706,22 @@ def _cmd_serve(args) -> int:
     )
 
 
+def _cmd_cache(args) -> int:
+    import os
+
+    from repro.cache import migrate
+
+    if not os.path.isdir(args.dir):
+        print(f"cache migrate: no such directory {args.dir!r}", file=sys.stderr)
+        return 2
+    counts = migrate(args.dir)
+    print(
+        f"cache migrate: {counts['migrated']} migrated, {counts['stale']} "
+        f"stale, {counts['corrupt']} corrupt -> {args.dir}"
+    )
+    return 0
+
+
 def _cmd_validate(args) -> int:
     from repro.validation import validate_implementation
 
@@ -860,6 +886,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_sweep(args)
     if args.command == "serve":
         return _cmd_serve(args)
+    if args.command == "cache":
+        return _cmd_cache(args)
     if args.command == "validate":
         return _cmd_validate(args)
     if args.command == "tune":

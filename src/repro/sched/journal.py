@@ -15,10 +15,10 @@ scheduler preserves the invariant that **a result is never surfaced to a
 caller before its record is durable**: it flushes the journal after its
 drain loops settle and before ``map()`` assembles return values, so a
 ``SIGKILL`` loses only records whose results were never returned.  On
-load, a truncated/corrupt trailing line (the torn tail of a batched
-write) is skipped, never fatal, and corruption is tallied by kind
-(``torn_lines`` / ``wrong_version_lines`` / ``ill_shaped_lines``) for
-the telemetry summary.  Floats round-trip exactly through JSON in
+load, a truncated/corrupt line (the torn tail of a batched write, or
+bytes that are not UTF-8) is skipped, never fatal, and corruption is
+tallied by kind (``torn_lines`` / ``wrong_version_lines`` /
+``ill_shaped_lines``) for the telemetry summary.  Floats round-trip exactly through JSON in
 CPython, so a journal replay is bit-identical to the original
 simulation.
 
@@ -37,66 +37,29 @@ single-file journal, anything else the sharded one.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.cache import (
+    LINE_VERSION,
+    SHARD_PREFIX_CHARS,
+    _decode_line,
+    _encode_line,
+    _fresh_tallies,
+)
+
 __all__ = ["Journal", "ShardedJournal", "open_journal", "JOURNAL_VERSION"]
 
-#: Journal line format version (bumped on incompatible payload changes).
-JOURNAL_VERSION = 1
+#: Journal line format version: the line format shared with the run cache
+#: (:mod:`repro.cache`), whose codec both use.
+JOURNAL_VERSION = LINE_VERSION
 
 #: Group-commit bounds: a buffered record is committed after at most this
 #: many pending lines / this many seconds, whichever comes first.
 DEFAULT_FLUSH_MAX_RECORDS = 64
 DEFAULT_FLUSH_INTERVAL = 0.25
-
-
-def _encode_line(key: str, payload: Dict[str, Any]) -> str:
-    doc = {
-        "v": JOURNAL_VERSION,
-        "key": key,
-        "elapsed_s": payload["elapsed_s"],
-        "phases": payload["phases"],
-        "comm_stats": payload["comm_stats"],
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
-
-
-def _decode_line(
-    line: str, tallies: Dict[str, int]
-) -> Optional[Tuple[str, Dict[str, Any]]]:
-    """Parse one journal line; tally (and skip) corruption by kind."""
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError:
-        # Torn trailing write after a kill — skip, never fatal.
-        tallies["torn"] += 1
-        return None
-    if not isinstance(doc, dict) or not isinstance(doc.get("key"), str):
-        tallies["ill_shaped"] += 1
-        return None
-    if doc.get("v") != JOURNAL_VERSION:
-        tallies["wrong_version"] += 1
-        return None
-    try:
-        payload = {
-            "elapsed_s": float(doc["elapsed_s"]),
-            "phases": {str(k): float(v) for k, v in doc["phases"].items()},
-            "comm_stats": {
-                str(k): int(v) for k, v in doc["comm_stats"].items()
-            },
-        }
-    except (KeyError, TypeError, ValueError, AttributeError):
-        tallies["ill_shaped"] += 1
-        return None
-    return doc["key"], payload
-
-
-def _fresh_tallies() -> Dict[str, int]:
-    return {"torn": 0, "wrong_version": 0, "ill_shaped": 0}
 
 
 class Journal:
@@ -129,8 +92,8 @@ class Journal:
         self.entries: Dict[str, Dict[str, Any]] = {}
         self._tallies = _fresh_tallies()
         self._load()
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._pending: List[str] = []
+        self._fh = open(self.path, "ab")
+        self._pending: List[bytes] = []
         self._last_flush = time.monotonic()
         self._lock = threading.Lock()
 
@@ -167,7 +130,7 @@ class Journal:
     # -- load -----------------------------------------------------------------
     def _load(self) -> None:
         try:
-            fh = open(self.path, "r", encoding="utf-8")
+            fh = open(self.path, "rb")
         except OSError:
             return
         with fh:
@@ -227,7 +190,7 @@ class Journal:
         self._last_flush = time.monotonic()
         if not self._pending or self._fh.closed:
             return
-        blob = "".join(self._pending)
+        blob = b"".join(self._pending)
         self._pending = []
         self._fh.write(blob)
         self._fh.flush()
@@ -255,7 +218,7 @@ class _Shard:
         self.path = path
         self.entries: Dict[str, Dict[str, Any]] = {}
         #: (key, line) pairs buffered since the last commit
-        self.pending: List[Tuple[str, str]] = []
+        self.pending: List[Tuple[str, bytes]] = []
         self.tallies = _fresh_tallies()
         self.fh = None
         #: bytes of the file consumed by the last (re)load
@@ -273,9 +236,9 @@ class _Shard:
         tallies = _fresh_tallies()
         size = 0
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with open(self.path, "rb") as fh:
                 for line in fh:
-                    size += len(line.encode("utf-8"))
+                    size += len(line)
                     line = line.strip()
                     if not line:
                         continue
@@ -326,8 +289,6 @@ class ShardedJournal:
     # -- shard plumbing -------------------------------------------------------
     @staticmethod
     def _prefix(key: str) -> str:
-        from repro.cache import SHARD_PREFIX_CHARS
-
         prefix = str(key)[:SHARD_PREFIX_CHARS].lower()
         if not prefix or not all(c in "0123456789abcdef" for c in prefix):
             raise ValueError(
@@ -457,13 +418,13 @@ class ShardedJournal:
             if not shard.pending:
                 continue
             if shard.fh is None:
-                shard.fh = open(shard.path, "a", encoding="utf-8")
-            blob = "".join(line for _, line in shard.pending)
+                shard.fh = open(shard.path, "ab")
+            blob = b"".join(line for _, line in shard.pending)
             shard.pending = []
             shard.fh.write(blob)
             shard.fh.flush()
             os.fsync(shard.fh.fileno())
-            shard.disk_size += len(blob.encode("utf-8"))
+            shard.disk_size += len(blob)
 
     def close(self) -> None:
         with self._lock:

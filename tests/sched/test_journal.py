@@ -105,6 +105,37 @@ class TestJournalFile:
         j.close()
 
 
+class TestNonUtf8Lines:
+    """A line of bytes that are not UTF-8 is tallied, never raised."""
+
+    GARBAGE = b"\xff\xfe garbage\n"
+
+    @staticmethod
+    def _good_line(key):
+        return (json.dumps({"v": JOURNAL_VERSION, "key": key, **PAYLOAD})
+                + "\n").encode()
+
+    def test_flat_journal(self, tmp_path):
+        p = tmp_path / "j.jsonl"
+        p.write_bytes(self.GARBAGE + self._good_line("k1"))
+        j = Journal(str(p))
+        assert j.get("k1") == PAYLOAD
+        assert j.torn_lines == 1 and j.corrupt_lines == 1
+        j.record("k2", PAYLOAD)
+        j.close()
+        assert len(Journal(str(p))) == 2
+
+    def test_sharded_journal(self, tmp_path):
+        key = "ab" + "0" * 62
+        (tmp_path / "j").mkdir()
+        (tmp_path / "j" / "ab.jsonl").write_bytes(
+            self.GARBAGE + self._good_line(key))
+        j = ShardedJournal(str(tmp_path / "j"))
+        assert j.get(key) == PAYLOAD
+        assert j.torn_lines == 1 and j.corrupt_lines == 1
+        j.close()
+
+
 class TestGroupCommit:
     def test_pending_records_visible_but_not_durable(self, tmp_path):
         p = str(tmp_path / "j.jsonl")

@@ -1,5 +1,6 @@
 """Tests for the shared task scheduler: dedup, coalescing, identity."""
 
+import json
 import threading
 
 import pytest
@@ -235,4 +236,5 @@ class TestKeying:
         cache = RunCache(cache_dir)
         assert cache.get(cfg) is not None
         key = config_key(cfg)
-        assert (tmp_path / "c" / key[:2] / f"{key}.json").exists()
+        lines = (tmp_path / "c" / f"{key[:2]}.jsonl").read_bytes().splitlines()
+        assert [json.loads(line)["key"] for line in lines] == [key]

@@ -1,12 +1,21 @@
 """Tests for the content-addressed run-result cache."""
 
+import dataclasses
 import json
+import logging
 import os
 
 import pytest
 
 from repro import cache as run_cache
-from repro.cache import MODEL_VERSION, RunCache, cacheable, config_key
+from repro.cache import (
+    MODEL_VERSION,
+    RunCache,
+    _encode_line,
+    cacheable,
+    config_key,
+    migrate,
+)
 from repro.core.config import RunConfig
 from repro.core.runner import run
 from repro.machines import JAGUARPF, YONA
@@ -88,6 +97,35 @@ class TestRoundTrip:
         assert list(tmp_path.iterdir()) == []
 
 
+def _log_path(cache, key):
+    """The shard log holding ``key``'s lines."""
+    return os.path.join(cache.directory, f"{key[:2]}.jsonl")
+
+
+def _read_lines(path):
+    with open(path, "rb") as fh:
+        return [line for line in fh.read().split(b"\n") if line]
+
+
+def _rewrite_entry(cache, key, new_line, newline=True):
+    """Replace ``key``'s line in its log with raw bytes; reopen the cache.
+
+    The fresh handle re-indexes the log from disk, as a later process
+    would.
+    """
+    path = _log_path(cache, key)
+    lines = [new_line if key.encode() in line else line
+             for line in _read_lines(path)]
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines) + (b"\n" if newline else b""))
+    return run_cache.configure(cache.directory)
+
+
+def _stale_line(key):
+    return _encode_line(key, {"elapsed_s": 1.0, "phases": {}, "comm_stats": {}},
+                        "pr0-ancient")
+
+
 class TestInvalidation:
     def test_model_version_bump_invalidates(self, cfg, cache, monkeypatch):
         run(cfg)
@@ -100,39 +138,47 @@ class TestInvalidation:
 
     def test_prune_removes_foreign_versions(self, cfg, cache):
         run(cfg)
-        # Forge an entry from an older model version.
-        stale = os.path.join(cache.directory, "deadbeef.json")
-        with open(stale, "w") as fh:
-            json.dump({"model_version": "pr0-ancient", "elapsed_s": 1.0,
-                       "phases": {}, "comm_stats": {}}, fh)
+        key = config_key(cfg)
+        # Forge a line from an older model version in the same shard.
+        stale_key = key[:2] + "0" * 62
+        with open(_log_path(cache, key), "ab") as fh:
+            fh.write(_stale_line(stale_key))
         assert len(cache) == 2
         assert cache.prune() == 1
         assert len(cache) == 1
-        assert not os.path.exists(stale)
+        assert [json.loads(line)["key"]
+                for line in _read_lines(_log_path(cache, key))] == [key]
+        run_cache.reset_stats()
+        run(cfg)
+        assert cache.stats()["hits"] == 1
+
+    def test_prune_drops_an_all_stale_log(self, cache):
+        path = os.path.join(cache.directory, "ab.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(_stale_line("ab" + "1" * 62) + _stale_line("ab" + "2" * 62))
+        assert cache.prune() == 2
+        assert not os.path.exists(path)
+        assert cache.prune() == 0
 
     def test_corrupt_entry_is_a_miss(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
-        path = cache._path(key)  # sharded location
-        with open(path, "w") as fh:
-            fh.write("{not json")
+        cache = _rewrite_entry(cache, key, b"{not json")
         r = run(cfg)  # falls back to simulation, re-stores
         assert r.elapsed_s > 0
-        assert cache.stats()["stores"] == 2
-        with open(path) as fh:
-            assert json.load(fh)["model_version"] == MODEL_VERSION
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1}
+        last = json.loads(_read_lines(_log_path(cache, key))[-1])
+        assert last["key"] == key and last["model_version"] == MODEL_VERSION
 
     def test_wrong_version_payload_is_a_miss(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
-        path = cache._path(key)  # sharded location
-        with open(path) as fh:
-            payload = json.load(fh)
-        payload["model_version"] = "pr0-forged"
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        doc = json.loads(_read_lines(_log_path(cache, key))[0])
+        doc["model_version"] = "pr0-forged"
+        cache = _rewrite_entry(cache, key, json.dumps(doc).encode())
         run(cfg)
         assert cache.stats()["hits"] == 0
+        assert cache.tallies["wrong_version"] == 1
 
 
 class TestExperimentIntegration:
@@ -207,44 +253,57 @@ class TestCanonicalErrors:
 
 
 class TestCorruptEntries:
-    def _entry_path(self, cache, cfg):
-        return cache._path(config_key(cfg))
-
     def test_truncated_json_is_a_miss(self, cfg, cache):
         run(cfg)  # store
-        path = self._entry_path(cache, cfg)
-        blob = open(path).read()
-        with open(path, "w") as fh:
-            fh.write(blob[: len(blob) // 2])  # torn write
-        run_cache.reset_stats()
+        key = config_key(cfg)
+        line = _read_lines(_log_path(cache, key))[0]
+        # A torn write: half the line, no newline.
+        cache = _rewrite_entry(cache, key, line[: len(line) // 2],
+                               newline=False)
         result = run(cfg)  # must re-simulate, not crash
         assert cache.stats()["misses"] == 1
         assert cache.stats()["stores"] == 1  # rewritten
         assert result.elapsed_s > 0
+        # A partial last line is neither consumed nor counted as torn.
+        assert cache.tallies["torn"] == 0
 
     def test_garbage_bytes_are_a_miss(self, cfg, cache):
         run(cfg)
-        path = self._entry_path(cache, cfg)
-        with open(path, "wb") as fh:
-            fh.write(b"\x00\xff\x00 not json")
-        run_cache.reset_stats()
+        cache = _rewrite_entry(cache, config_key(cfg), b"\x00\xff\x00 not json")
         assert run(cfg).elapsed_s > 0
         assert cache.stats()["misses"] == 1
+        assert cache.tallies["torn"] == 1
+
+    def test_good_line_after_a_garbage_line_still_hits(self, cfg, cache):
+        cold = run(cfg)
+        key = config_key(cfg)
+        path = _log_path(cache, key)
+        good = _read_lines(path)[0]
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe garbage\n" + good + b"\n")
+        cache = run_cache.configure(cache.directory)
+        warm = run(cfg)
+        assert cache.stats() == {"hits": 1, "misses": 0, "stores": 0}
+        assert warm.elapsed_s == cold.elapsed_s
+        assert cache.tallies == {"torn": 1, "wrong_version": 0,
+                                 "ill_shaped": 0}
 
     def test_wrong_shape_json_is_a_miss(self, cfg, cache):
         run(cfg)
-        path = self._entry_path(cache, cfg)
-        for payload in (
+        key = config_key(cfg)
+        for doc in (
             [1, 2, 3],  # not a dict
-            {"model_version": MODEL_VERSION},  # missing fields
-            {"model_version": MODEL_VERSION, "elapsed_s": "NaN?",
-             "phases": 7, "comm_stats": {}},  # phases not a mapping
+            {"v": 1, "key": key, "model_version": MODEL_VERSION},  # no fields
+            {"v": 1, "key": key, "model_version": MODEL_VERSION,
+             "elapsed_s": "NaN?", "phases": 7, "comm_stats": {}},  # phases
         ):
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
-            run_cache.reset_stats()
+            # Rewrite the whole log: the key may no longer be in the line.
+            with open(_log_path(cache, key), "wb") as fh:
+                fh.write(json.dumps(doc).encode() + b"\n")
+            cache = run_cache.configure(cache.directory)
             assert run(cfg).elapsed_s > 0
             assert cache.stats()["misses"] == 1
+            assert cache.tallies["ill_shaped"] == 1
 
     def test_entry_matching_baseline_still_hits(self, cfg, cache):
         cold = run(cfg)
@@ -258,11 +317,34 @@ class TestShardedLayout:
     def test_entries_land_in_prefix_shards(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
-        shard = os.path.join(cache.directory, key[:2])
-        assert os.path.isdir(shard)
-        assert os.path.exists(os.path.join(shard, f"{key}.json"))
-        # Nothing at the old flat location.
-        assert not os.path.exists(os.path.join(cache.directory, f"{key}.json"))
+        assert os.listdir(cache.directory) == [f"{key[:2]}.jsonl"]
+        (line,) = _read_lines(_log_path(cache, key))
+        doc = json.loads(line)
+        assert doc["key"] == key
+        assert doc["model_version"] == MODEL_VERSION
+        assert doc["v"] == 1
+
+    def test_each_put_appends_one_line(self, cfg, cache):
+        result = run(cfg)
+        cache.put(cfg, result)
+        cache.put(cfg, result)
+        assert len(_read_lines(_log_path(cache, config_key(cfg)))) == 3
+
+    def test_a_fresh_handle_hits_bit_identically(self, cfg, cache):
+        cold = run(cfg)
+        fresh = run_cache.configure(cache.directory)
+        warm = run(cfg)
+        assert fresh.stats() == {"hits": 1, "misses": 0, "stores": 0}
+        assert warm.elapsed_s == cold.elapsed_s
+        assert warm.phases == cold.phases
+        assert warm.comm_stats == cold.comm_stats
+
+    def test_last_write_wins(self, cfg, cache):
+        cold = run(cfg)
+        forged = dataclasses.replace(cold, elapsed_s=cold.elapsed_s * 2)
+        cache.put(cfg, forged)
+        run_cache.configure(cache.directory)
+        assert run(cfg).elapsed_s == forged.elapsed_s
 
     def test_len_counts_across_shards(self, cfg, cache):
         run(cfg)
@@ -270,109 +352,130 @@ class TestShardedLayout:
         run(cfg.with_(steps=4))
         assert len(cache) == 3
 
-    def test_v1_flat_layout_still_readable(self, cfg, tmp_path):
-        """A pre-shard cache directory is a warm cache, not an empty one."""
-        d = str(tmp_path / "c")
-        # Populate through the current layout, then flatten to v1 by hand.
-        c1 = run_cache.configure(d)
-        cold = run(cfg)
-        key = config_key(cfg)
-        os.replace(c1._path(key), os.path.join(d, f"{key}.json"))
-        os.rmdir(os.path.dirname(c1._path(key)))
-        # A fresh handle on the flat directory must hit, bit-identically.
-        c2 = run_cache.configure(d)
-        assert len(c2) == 1
-        warm = run(cfg)
-        assert c2.stats()["hits"] == 1
-        assert warm.elapsed_s == cold.elapsed_s
-        assert warm.phases == cold.phases
-        run_cache.configure(None)
-
-    def test_v1_entry_migrates_into_shard_on_hit(self, cfg, tmp_path):
-        d = str(tmp_path / "c")
-        c1 = run_cache.configure(d)
-        run(cfg)
-        key = config_key(cfg)
-        flat = os.path.join(d, f"{key}.json")
-        os.replace(c1._path(key), flat)
-        c2 = run_cache.configure(d)
-        assert run(cfg).elapsed_s > 0
-        assert c2.stats()["hits"] == 1
-        assert not os.path.exists(flat), "hit should migrate the v1 entry"
-        assert os.path.exists(c2._path(key))
-        run_cache.configure(None)
-
-    def test_prune_covers_both_layouts(self, cfg, cache):
-        run(cfg)  # sharded, current version
-        flat_stale = os.path.join(cache.directory, "deadbeef.json")
-        with open(flat_stale, "w") as fh:
-            json.dump({"model_version": "pr0-ancient"}, fh)
-        sharded_stale = os.path.join(cache.directory, "ab")
-        os.makedirs(sharded_stale, exist_ok=True)
-        with open(os.path.join(sharded_stale, "ab123.json"), "w") as fh:
-            json.dump({"model_version": "pr0-ancient"}, fh)
-        assert len(cache) == 3
-        assert cache.prune() == 2
-        assert len(cache) == 1
+    def test_len_counts_a_duplicated_key_once(self, cfg, cache):
+        result = run(cfg)
+        cache.put(cfg, result)
+        assert len(run_cache.configure(cache.directory)) == 1
 
     def test_probe_keys_counts_existence_without_counters(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
         run_cache.reset_stats()
         assert cache.probe_keys([key, "0" * 64]) == 1
+        assert cache.warm_keys([key, "0" * 64]) == {key}
+        assert cache.has_key(key) and not cache.has_key("1" * 64)
         assert cache.stats() == {"hits": 0, "misses": 0, "stores": 0}
 
 
-class TestHalfMigratedEntries:
-    """A key present in BOTH layouts is one entry, not two.
+def _to_old_layout(directory):
+    """Rewrite a shard-log cache into the old per-file layouts.
 
-    A crash between the shard copy and the flat unlink of the v1
-    migration leaves the same key in both places.  The walk used to
-    report it twice (``len``/``stats``) and ``prune`` removed only one
-    copy of a stale pair; now entries are deduplicated by key — the
-    shard copy is authoritative — and prune retires a stale key's files
-    in both layouts at once.
+    Alternate entries go to the flat v1 layout (``<dir>/<key>.json``) and
+    to per-file shard directories (``<dir>/<key[:2]>/<key>.json``), in
+    the old entry format; the logs are removed. Returns the entry count.
     """
+    count = 0
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        for line in _read_lines(path):
+            doc = json.loads(line)
+            key = doc["key"]
+            entry = {"model_version": doc["model_version"], "machine": "m",
+                     "implementation": "i", "cores": 1,
+                     "elapsed_s": doc["elapsed_s"], "phases": doc["phases"],
+                     "comm_stats": doc["comm_stats"]}
+            if count % 2:
+                target = os.path.join(directory, f"{key}.json")
+            else:
+                os.makedirs(os.path.join(directory, key[:2]), exist_ok=True)
+                target = os.path.join(directory, key[:2], f"{key}.json")
+            with open(target, "w") as fh:
+                json.dump(entry, fh)
+            count += 1
+        os.unlink(path)
+    return count
 
-    def _duplicate_into_flat(self, cache, cfg):
-        """Forge the half-migrated state: shard copy + flat copy."""
-        key = config_key(cfg)
-        sharded = cache._path(key)
-        flat = os.path.join(cache.directory, f"{key}.json")
-        with open(sharded) as src, open(flat, "w") as dst:
-            dst.write(src.read())
-        return key, sharded, flat
 
-    def test_duplicated_key_counts_once(self, cfg, cache):
-        run(cfg)
-        self._duplicate_into_flat(cache, cfg)
-        assert len(cache) == 1  # was 2: both layout walks reported it
+class TestMigrate:
+    def test_migrated_cache_replays_fig9_warm(self, tmp_path, capsys, caplog):
+        from repro.cli import main
 
-    def test_prune_keeps_current_version_but_drops_the_flat_copy(
-        self, cfg, cache
-    ):
-        run(cfg)
-        key, sharded, flat = self._duplicate_into_flat(cache, cfg)
-        assert cache.prune() == 0  # current version: nothing stale
-        assert os.path.exists(sharded)
-        assert not os.path.exists(flat)  # housekeeping: duplicate gone
-        run_cache.reset_stats()
-        run(cfg)
-        assert cache.stats()["hits"] == 1
+        d = str(tmp_path / "c")
+        try:
+            assert main(["experiment", "fig9", "--fast", "--cache-dir", d]) == 0
+            cold = capsys.readouterr().out
+            entries = _to_old_layout(d)
+            assert entries > 0
+            with open(os.path.join(d, "ab" + "0" * 62 + ".json"), "w") as fh:
+                json.dump({"model_version": "pr0-ancient", "elapsed_s": 1.0,
+                           "phases": {}, "comm_stats": {}}, fh)
+            with open(os.path.join(d, "cd" + "0" * 62 + ".json"), "wb") as fh:
+                fh.write(b"\xff\xfe garbage")
 
-    def test_prune_removes_both_copies_of_a_stale_key(self, cfg, cache):
-        run(cfg)
-        key, sharded, flat = self._duplicate_into_flat(cache, cfg)
-        for path in (sharded, flat):
-            with open(path) as fh:
-                payload = json.load(fh)
-            payload["model_version"] = "pr0-ancient"
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
-        assert cache.prune() == 1  # one key retired, not two
-        assert not os.path.exists(sharded)  # was: only one copy removed
-        assert not os.path.exists(flat)
-        assert len(cache) == 0
+            # Before migrating: one warning naming the command, and the
+            # old files are not read.
+            with caplog.at_level(logging.WARNING, logger="repro.cache"):
+                before = RunCache(d)
+            (record,) = caplog.records
+            assert "advection-repro cache migrate" in record.getMessage()
+            assert len(before) == 0
+
+            assert main(["cache", "migrate", d]) == 0
+            out = capsys.readouterr().out
+            assert f"{entries} migrated, 1 stale, 1 corrupt" in out
+            assert sorted(os.listdir(d)) == sorted(
+                n for n in os.listdir(d) if n.endswith(".jsonl"))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.cache"):
+                assert len(RunCache(d)) == entries
+            assert caplog.records == []
+
+            assert main(["experiment", "fig9", "--fast", "--cache-dir", d]) == 0
+            warm = capsys.readouterr().out
+            stats_line = [l for l in warm.splitlines()
+                          if l.startswith("run cache:")]
+            assert stats_line and " 0 misses " in stats_line[0]
+            assert " 0 stored " in stats_line[0]
+            strip = lambda text: [l for l in text.splitlines()  # noqa: E731
+                                  if not l.startswith("run cache:")]
+            assert strip(warm) == strip(cold)
+
+            assert main(["cache", "migrate", d]) == 0
+            assert "0 migrated, 0 stale, 0 corrupt" in capsys.readouterr().out
+        finally:
+            run_cache.configure(None)
+
+    def test_half_migrated_key_is_folded_once(self, cfg, tmp_path):
+        d = str(tmp_path / "c")
+        c = run_cache.configure(d)
+        try:
+            run(cfg)
+            assert _to_old_layout(d) == 1
+            key = config_key(cfg)
+            # The same entry in both old layouts.
+            with open(os.path.join(d, key[:2], f"{key}.json")) as src, \
+                    open(os.path.join(d, f"{key}.json"), "w") as dst:
+                dst.write(src.read())
+            assert migrate(d) == {"migrated": 1, "stale": 0, "corrupt": 0}
+            assert os.listdir(d) == [f"{key[:2]}.jsonl"]
+            assert len(_read_lines(os.path.join(d, f"{key[:2]}.jsonl"))) == 1
+            c = run_cache.configure(d)
+            run(cfg)
+            assert c.stats() == {"hits": 1, "misses": 0, "stores": 0}
+        finally:
+            run_cache.configure(None)
+
+    def test_corrupt_old_files_are_counted_never_fatal(self, tmp_path):
+        d = tmp_path / "c"
+        (d / "ab").mkdir(parents=True)
+        (d / "ab" / ("ab" + "1" * 62 + ".json")).write_bytes(b"{torn")
+        (d / "ab" / "tmpx.tmp").write_bytes(b"leftover")
+        (d / ("cd" + "2" * 62 + ".json")).write_text("[1, 2]")
+        (d / ("ef" + "3" * 62 + ".json")).write_text(json.dumps(
+            {"model_version": MODEL_VERSION, "elapsed_s": 1.0, "phases": 3,
+             "comm_stats": {}}))
+        assert migrate(str(d)) == {"migrated": 0, "stale": 0, "corrupt": 3}
+        assert os.listdir(d) == []
 
 
 class TestWorkloadKeys:
