@@ -17,6 +17,7 @@ waits on the result.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfig
@@ -28,6 +29,7 @@ from repro.machines.cpu_model import (
     task_compute_time,
 )
 from repro.machines.calibration import BOUNDARY_LOOP_EFFICIENCY, COPY_BYTES_PER_POINT
+from repro.machines.spec import GpuSpec, NodeSpec
 from repro.simgpu.blockmodel import stencil_kernel_time
 from repro.simgpu.device import Gpu, Stream
 from repro.simmpi.api import RankComm
@@ -48,6 +50,36 @@ FACE_PACK_STRIDE_PENALTY = {0: 0.5, 1: 0.8, 2: 1.0}
 #: still pay the fused copies and per-face launches (8x better). The clean
 #: §IV-I block-boundary kernels instead run at the thin-slab rate.
 FACE_KERNEL_MULTIPLIER = {0: 1.0, 1: 4.0, 2: 8.0}
+
+#: Entries one cost table holds before it is cleared and refilled.
+COST_TABLE_ENTRIES = 4096
+
+
+@lru_cache(maxsize=64)
+def _host_cost_tables(node: NodeSpec) -> Tuple[dict, dict, dict]:
+    """Memo of the node's pure host durations: compute, state copy, memcpy.
+
+    Keyed on the spec's value, so runs on one node share the durations and
+    sensitivity variants of a machine (same name, other fields) do not.
+    Each table maps a helper's argument tuple to the float the machine
+    model returns for it, before any perturbation or progress tax.
+    """
+    return {}, {}, {}
+
+
+@lru_cache(maxsize=64)
+def _kernel_cost_table(gpu: GpuSpec) -> dict:
+    """Memo of the device's stencil-kernel durations, before ``gpu_share``."""
+    return {}
+
+
+def _remember(table: dict, key: tuple, seconds: float) -> float:
+    # A duration is a pure function of its key: threads racing on one
+    # table at worst compute and store the same float twice.
+    if len(table) >= COST_TABLE_ENTRIES:
+        table.clear()
+    table[key] = seconds
+    return seconds
 
 
 class RankContext:
@@ -74,6 +106,12 @@ class RankContext:
         self.gpu_share = gpu_share
         self.node = cfg.machine.node
         self.threads = cfg.threads_per_task
+        self._compute_costs, self._copy_costs, self._memcpy_costs = (
+            _host_cost_tables(self.node)
+        )
+        self._kernel_costs = _kernel_cost_table(gpu.spec) if gpu is not None else None
+        self._neighbors: Dict[Tuple[int, int], int] = {}
+        self._face_bytes: Dict[int, int] = {}
         self.phases: Dict[str, float] = defaultdict(float)
         #: optional repro.obs tracer (RunConfig.trace); shared with the GPU,
         #: the communicator, and the shared links.
@@ -127,13 +165,17 @@ class RankContext:
         eff = efficiency if efficiency is not None else (
             self.node.boundary_loop_efficiency if boundary else 1.0
         )
-        t = task_compute_time(
-            self.node, self.threads, points, efficiency=eff, guided=guided
-        )
-        if pieces > 1:
-            from repro.machines.cpu_model import omp_region_overhead
+        key = (self.threads, points, eff, guided, pieces)
+        t = self._compute_costs.get(key)
+        if t is None:
+            t = task_compute_time(
+                self.node, self.threads, points, efficiency=eff, guided=guided
+            )
+            if pieces > 1:
+                from repro.machines.cpu_model import omp_region_overhead
 
-            t += (pieces - 1) * omp_region_overhead(self.node, self.threads)
+                t += (pieces - 1) * omp_region_overhead(self.node, self.threads)
+            _remember(self._compute_costs, key, t)
         return self._charge(phase, t)
 
     def compute_custom(
@@ -185,13 +227,16 @@ class RankContext:
 
     def copy_state_cost(self, points: int) -> Event:
         """Timed Step-3 state copy."""
-        t = task_compute_time(
-            self.node,
-            self.threads,
-            points,
-            bytes_per_point=COPY_BYTES_PER_POINT,
-            flops_per_point=0.25,
-        )
+        key = (self.threads, points)
+        t = self._copy_costs.get(key)
+        if t is None:
+            t = _remember(self._copy_costs, key, task_compute_time(
+                self.node,
+                self.threads,
+                points,
+                bytes_per_point=COPY_BYTES_PER_POINT,
+                flops_per_point=0.25,
+            ))
         return self._charge("copy", t)
 
     def memcpy(
@@ -202,15 +247,14 @@ class RankContext:
         threads: Optional[int] = None,
     ) -> Event:
         """Timed on-node copy (halo pack/unpack, buffer staging)."""
-        return self._charge(
-            phase,
-            memcpy_time(
-                self.node,
-                nbytes,
-                threads if threads is not None else self.threads,
-                stride_penalty,
-            ),
-        )
+        threads = threads if threads is not None else self.threads
+        key = (threads, nbytes, stride_penalty)
+        t = self._memcpy_costs.get(key)
+        if t is None:
+            t = _remember(self._memcpy_costs, key, memcpy_time(
+                self.node, nbytes, threads, stride_penalty
+            ))
+        return self._charge(phase, t)
 
     def host_delay(self, seconds: float, phase: str = "host") -> Event:
         """Arbitrary host-side delay (e.g. kernel-launch overhead)."""
@@ -257,9 +301,13 @@ class RankContext:
     ) -> Event:
         """Issue the tiled stencil kernel over ``points`` (uniform, fast)."""
         gpu = self._require_gpu()
-        t = stencil_kernel_time(
-            gpu.spec, points, self.cfg.block, tuple(shape or self.sub.shape)
-        )
+        shape = tuple(shape or self.sub.shape)
+        key = (points, self.cfg.block, shape)
+        t = self._kernel_costs.get(key)
+        if t is None:
+            t = _remember(self._kernel_costs, key, stencil_kernel_time(
+                gpu.spec, points, self.cfg.block, shape
+            ))
         return gpu.launch_kernel(stream, t * self.gpu_share, action, name)
 
     def face_kernel(
@@ -357,10 +405,18 @@ class RankContext:
     # -- topology helpers --------------------------------------------------------
     def neighbor(self, dim: int, side: int) -> int:
         """Face-neighbor rank."""
-        return self.decomp.neighbor(self.sub.rank, dim, side)
+        rank = self._neighbors.get((dim, side))
+        if rank is None:
+            rank = self._neighbors[dim, side] = self.decomp.neighbor(
+                self.sub.rank, dim, side
+            )
+        return rank
 
     def face_bytes(self, dim: int) -> int:
         """Bytes of one halo face message in ``dim``."""
-        from repro.decomp.halo import face_message_bytes
+        nbytes = self._face_bytes.get(dim)
+        if nbytes is None:
+            from repro.decomp.halo import face_message_bytes
 
-        return face_message_bytes(self.sub.shape, dim)
+            nbytes = self._face_bytes[dim] = face_message_bytes(self.sub.shape, dim)
+        return nbytes

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.machines.spec import GpuSpec
 from repro.stencil.coefficients import FLOPS_PER_POINT
@@ -99,6 +99,48 @@ def _sweet_spot(gpu: GpuSpec, by: int) -> float:
     )
 
 
+def _block_terms(gpu: GpuSpec, bx: int, by: int) -> Optional[Tuple[float, float]]:
+    """``(prefix, sweet)`` of an admissible block, or None when it is not.
+
+    ``prefix`` is the shape-independent head of :func:`block_efficiency`'s
+    product (coalescing, warp and halo utilization, occupancy), ``sweet``
+    its last factor; the full efficiency is
+    ``prefix * cover_x * cover_y * sweet``, evaluated left to right.
+    """
+    if bx * by > gpu.max_threads_per_block or bx < 1 or by < 1:
+        return None
+    occ = _occupancy(gpu, bx, by)
+    if occ == 0.0:
+        return None
+    threads = bx * by
+    warp_util = threads / (math.ceil(threads / gpu.warp_size) * gpu.warp_size)
+    halo_util = threads / ((bx + 2) * (by + 2))
+    prefix = _coalesce_factor(gpu, bx) * warp_util * halo_util * (occ**0.35)
+    return prefix, _sweet_spot(gpu, by)
+
+
+@lru_cache(maxsize=64)
+def _block_table(gpu: GpuSpec) -> Dict[Tuple[int, int], Tuple[float, float]]:
+    """:func:`_block_terms` of every admissible block, in sweep order.
+
+    Computed once per device spec (keyed on its value, so sensitivity
+    variants of one GPU get their own table); the dict is never mutated.
+    """
+    table = {}
+    for bx, by in admissible_blocks(gpu):
+        terms = _block_terms(gpu, bx, by)
+        if terms is not None:
+            table[bx, by] = terms
+    return table
+
+
+def _efficiency(terms, bx: int, by: int, nx: int, ny: int) -> float:
+    prefix, sweet = terms
+    cover_x = nx / (math.ceil(nx / bx) * bx)
+    cover_y = ny / (math.ceil(ny / by) * by)
+    return prefix * cover_x * cover_y * sweet
+
+
 def block_efficiency(
     gpu: GpuSpec, block: Tuple[int, int], shape: Sequence[int] = (420, 420, 420)
 ) -> float:
@@ -107,33 +149,18 @@ def block_efficiency(
     Zero for inadmissible blocks (over the thread limit or zero occupancy).
     """
     bx, by = block
-    nx, ny = int(shape[0]), int(shape[1])
-    if bx * by > gpu.max_threads_per_block or bx < 1 or by < 1:
+    terms = _block_table(gpu).get((bx, by)) or _block_terms(gpu, bx, by)
+    if terms is None:
         return 0.0
-    occ = _occupancy(gpu, bx, by)
-    if occ == 0.0:
-        return 0.0
-    threads = bx * by
-    warp_util = threads / (math.ceil(threads / gpu.warp_size) * gpu.warp_size)
-    halo_util = threads / ((bx + 2) * (by + 2))
-    cover_x = nx / (math.ceil(nx / bx) * bx)
-    cover_y = ny / (math.ceil(ny / by) * by)
-    return (
-        _coalesce_factor(gpu, bx)
-        * warp_util
-        * halo_util
-        * (occ**0.35)
-        * cover_x
-        * cover_y
-        * _sweet_spot(gpu, by)
-    )
+    return _efficiency(terms, bx, by, int(shape[0]), int(shape[1]))
 
 
 @lru_cache(maxsize=256)
 def _best_block_cached(gpu: GpuSpec, shape: Tuple[int, int, int]) -> Tuple[Tuple[int, int], float]:
+    nx, ny = shape[0], shape[1]
     best, best_eff = None, 0.0
-    for blk in admissible_blocks(gpu):
-        eff = block_efficiency(gpu, blk, shape)
+    for blk, terms in _block_table(gpu).items():
+        eff = _efficiency(terms, blk[0], blk[1], nx, ny)
         if eff > best_eff:
             best, best_eff = blk, eff
     if best is None:

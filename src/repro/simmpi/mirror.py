@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.des import Environment, SimulationError
@@ -56,33 +57,23 @@ class MirrorProfile:
         Scans the ranks of node 0 (placement is contiguous), picks the one
         with the most off-node faces as representative, and counts how many
         node-local transfers contend for the NIC in each dimension's
-        exchange phase.
+        exchange phase. That scan depends only on the task grid and the
+        node size, so it runs once per ``(ntasks, task_grid, tpn)``
+        (:func:`_node_plan`); the machine's network specs are read per call.
         """
         tpn = min(tasks_per_node, decomp.ntasks)
-        node_ranks = list(range(min(tpn, decomp.ntasks)))
-        off = {r: decomp.offnode_dims(r, tpn) for r in node_ranks}
-
-        def n_off(r):
-            return sum(int(b) for d in off[r].values() for b in d)
-
-        rep = max(node_ranks, key=n_off)
-        offnode_by_tag: Dict[int, bool] = {}
-        nic_share_by_tag: Dict[int, float] = {}
-        for dim in range(3):
-            # Send messages from this node during the dim exchange phase.
-            node_sends = sum(int(b) for r in node_ranks for b in off[r][dim])
-            for side in (-1, 1):
-                tag = halo_tag(dim, side)
-                is_off = off[rep][dim][0 if side < 0 else 1]
-                offnode_by_tag[tag] = is_off
-                nic_share_by_tag[tag] = max(1.0, float(node_sends))
+        rep, offnode_by_tag, nic_share_by_tag = _node_plan(
+            decomp.ntasks, decomp.task_grid, tpn
+        )
         return cls(
             interconnect=machine.interconnect,
             node=machine.node,
             nranks=decomp.ntasks,
             tasks_per_node=tpn,
-            offnode_by_tag=offnode_by_tag,
-            nic_share_by_tag=nic_share_by_tag,
+            # Copies: the memoized plan is shared by every profile built
+            # from it, in every thread.
+            offnode_by_tag=dict(offnode_by_tag),
+            nic_share_by_tag=dict(nic_share_by_tag),
             representative_rank=rep,
         )
 
@@ -93,6 +84,40 @@ class MirrorProfile:
     def nic_share(self, tag: int) -> float:
         """NIC contention factor for ``tag``."""
         return self.nic_share_by_tag.get(tag, max(1.0, float(self.tasks_per_node)))
+
+
+@lru_cache(maxsize=256)
+def _node_plan(
+    ntasks: int, task_grid: Tuple[int, int, int], tpn: int
+) -> Tuple[int, Dict[int, bool], Dict[int, float]]:
+    """``(representative_rank, offnode_by_tag, nic_share_by_tag)`` of node 0.
+
+    Face neighbours and node placement depend on the task grid alone, and
+    decomposing a ``task_grid``-point domain into ``ntasks`` tasks gives
+    back that very grid (one point per task), so the plan is built on that
+    stand-in. Callers must not mutate the returned dicts.
+    """
+    decomp = Decomposition(ntasks, task_grid)
+    if decomp.task_grid != task_grid:
+        raise ValueError(f"{task_grid} is not a task grid for {ntasks} tasks")
+    node_ranks = list(range(min(tpn, ntasks)))
+    off = {r: decomp.offnode_dims(r, tpn) for r in node_ranks}
+
+    def n_off(r):
+        return sum(int(b) for d in off[r].values() for b in d)
+
+    rep = max(node_ranks, key=n_off)
+    offnode_by_tag: Dict[int, bool] = {}
+    nic_share_by_tag: Dict[int, float] = {}
+    for dim in range(3):
+        # Send messages from this node during the dim exchange phase.
+        node_sends = sum(int(b) for r in node_ranks for b in off[r][dim])
+        for side in (-1, 1):
+            tag = halo_tag(dim, side)
+            is_off = off[rep][dim][0 if side < 0 else 1]
+            offnode_by_tag[tag] = is_off
+            nic_share_by_tag[tag] = max(1.0, float(node_sends))
+    return rep, offnode_by_tag, nic_share_by_tag
 
 
 def _after(t: float, d: float) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgpu.emulate import emulate_tiled_kernel
+from emulate import emulate_tiled_kernel
 from repro.stencil.coefficients import tensor_product_coefficients
 from repro.stencil.grid import allocate_field
 from repro.stencil.kernels import (
