@@ -20,7 +20,7 @@ computation with the same dimension's MPI exchange:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Wall", "BoxDecomposition"]
 
@@ -69,6 +69,11 @@ class BoxDecomposition:
             )
         self.block_lo: Coords = (t, t, t)
         self.block_hi: Coords = (nx - t, ny - t, nz - t)
+        # Wall geometry of this box, computed on first use; callers get
+        # fresh lists (the walls and coordinate tuples are immutable).
+        self._walls: Optional[Tuple[Wall, ...]] = None
+        self._walls_by_dim: Dict[int, Tuple[Wall, ...]] = {}
+        self._interior: Dict[Wall, Tuple[Coords, Coords]] = {}
 
     # -- point counts --------------------------------------------------------
     @property
@@ -102,24 +107,34 @@ class BoxDecomposition:
         return tuple(h - l for l, h in zip(self.block_lo, self.block_hi))
 
     # -- wall slabs -----------------------------------------------------------
+    def _wall_slabs(self) -> Tuple[Wall, ...]:
+        if self._walls is None:
+            nx, ny, nz = self.shape
+            t = self.thickness
+            bx0, by0, bz0 = self.block_lo
+            bx1, by1, bz1 = self.block_hi
+            self._walls = (
+                Wall(0, -1, (0, 0, 0), (t, ny, nz)),
+                Wall(0, +1, (nx - t, 0, 0), (nx, ny, nz)),
+                Wall(1, -1, (bx0, 0, 0), (bx1, t, nz)),
+                Wall(1, +1, (bx0, ny - t, 0), (bx1, ny, nz)),
+                Wall(2, -1, (bx0, by0, 0), (bx1, by1, t)),
+                Wall(2, +1, (bx0, by0, nz - t), (bx1, by1, nz)),
+            )
+            self._walls_by_dim = {
+                dim: tuple(w for w in self._walls if w.dim == dim) for dim in range(3)
+            }
+            self._interior = {w: self._clip_to_interior(w) for w in self._walls}
+        return self._walls
+
     def walls(self) -> List[Wall]:
         """The six non-overlapping CPU wall slabs, ordered x, y, z."""
-        nx, ny, nz = self.shape
-        t = self.thickness
-        bx0, by0, bz0 = self.block_lo
-        bx1, by1, bz1 = self.block_hi
-        return [
-            Wall(0, -1, (0, 0, 0), (t, ny, nz)),
-            Wall(0, +1, (nx - t, 0, 0), (nx, ny, nz)),
-            Wall(1, -1, (bx0, 0, 0), (bx1, t, nz)),
-            Wall(1, +1, (bx0, ny - t, 0), (bx1, ny, nz)),
-            Wall(2, -1, (bx0, by0, 0), (bx1, by1, t)),
-            Wall(2, +1, (bx0, by0, nz - t), (bx1, by1, nz)),
-        ]
+        return list(self._wall_slabs())
 
     def walls_for_dim(self, dim: int) -> List[Wall]:
         """The two walls whose exchange dimension is ``dim``."""
-        return [w for w in self.walls() if w.dim == dim]
+        self._wall_slabs()
+        return list(self._walls_by_dim.get(dim, ()))
 
     # -- CPU-GPU exchange surfaces ---------------------------------------------
     @property
@@ -156,6 +171,11 @@ class BoxDecomposition:
         These are the wall points computable while MPI for the wall's
         dimension is still in flight (they read no outer halo).
         """
+        self._wall_slabs()
+        box = self._interior.get(wall)
+        return box if box is not None else self._clip_to_interior(wall)
+
+    def _clip_to_interior(self, wall: Wall) -> Tuple[Coords, Coords]:
         nx, ny, nz = self.shape
         lo = tuple(max(l, 1) for l in wall.lo)
         hi = tuple(min(h, n - 1) for h, n in zip(wall.hi, (nx, ny, nz)))

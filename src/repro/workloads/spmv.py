@@ -518,11 +518,14 @@ class SpmvRankData:
     """One rank's matrix block, vectors and gather plans (or shadow no-ops).
 
     The communication plan is data, not implementation logic, so all
-    three variants share it: ``recv_plan`` lists ``(peer, nbytes, tag)``
-    of the gathers this rank posts; ``send_plan`` lists
-    ``(peer, nbytes, cols, tag)`` of what it serves. In mirror mode the send
-    plan mirrors the receive plan (symmetric sizing, see module doc); in
-    full mode it is the exact inverse map of every peer's gather.
+    three variants share it, as the specs of the batched posts (tuples, so
+    a mirror communicator keeps their per-message constants for the whole
+    run): ``recv_specs`` lists ``(peer, tag, nbytes)`` of the gathers this
+    rank posts, ``send_specs`` ``(peer, tag, nbytes, None)`` of what it
+    serves. In mirror mode the sends mirror the receives (symmetric sizing,
+    see module doc); in full mode they are the exact inverse map of every
+    peer's gather, and ``send_plan`` lists ``(peer, nbytes, cols, tag)``
+    with the columns a functional run packs.
     """
 
     def __init__(self, cfg: RunConfig, problem: SpmvProblem, block: RowBlock):
@@ -533,25 +536,28 @@ class SpmvRankData:
         coupling = problem.coupling(block.rank)
         self.coupling = coupling
         me, ntasks = block.rank, problem.ntasks
-        self.recv_plan: List[Tuple[int, int, int]] = [
-            (p, coupling.gather_bytes(p), gather_tag(me, p, ntasks))
+        self.recv_specs: Tuple[Tuple[int, int, int], ...] = tuple(
+            (p, gather_tag(me, p, ntasks), coupling.gather_bytes(p))
             for p in coupling.peers
-        ]
-        self.recv_bytes = sum(n for _, n, _ in self.recv_plan)
+        )
+        self.recv_bytes = sum(n for _, _, n in self.recv_specs)
+        self.send_plan: List[Tuple[int, int, np.ndarray, int]] = []
         if cfg.network == "mirror":
-            self.send_plan: List[Tuple[int, int, Optional[np.ndarray], int]] = [
-                (p, n, None, tag) for p, n, tag in self.recv_plan
-            ]
+            self.send_specs = tuple((p, tag, n, None) for p, tag, n in self.recv_specs)
+            self.send_bytes = self.recv_bytes
         else:
-            plan = []
             for p in range(ntasks):
                 if p == me:
                     continue
                 cols = problem.coupling(p).gather_cols.get(me)
                 if cols is not None and len(cols):
-                    plan.append((p, 8 * len(cols), cols, gather_tag(me, p, ntasks)))
-            self.send_plan = plan
-        self.send_bytes = sum(n for _, n, _, _ in self.send_plan)
+                    self.send_plan.append(
+                        (p, 8 * len(cols), cols, gather_tag(me, p, ntasks))
+                    )
+            self.send_specs = tuple(
+                (p, tag, n, None) for p, n, _, tag in self.send_plan
+            )
+            self.send_bytes = sum(n for _, n, _, _ in self.send_plan)
         self._remote_cols: Optional[np.ndarray] = None
         if self.functional:
             self._init_functional()
@@ -642,15 +648,15 @@ def _post_gather(ctx: RankContext):
     """Post the sweep's gather exchange; returns (recv_reqs, send_reqs)."""
     data: SpmvRankData = ctx.data
     comm = ctx.comm
-    recvs = yield from comm.irecv_all(
-        [(peer, tag, nbytes) for peer, nbytes, tag in data.recv_plan]
-    )
+    recvs = yield from comm.irecv_all(data.recv_specs)
     if data.send_bytes:
         yield ctx.memcpy(data.send_bytes, GATHER_PACK_PENALTY, phase="pack")
-    sends = yield from comm.isend_all(
-        [(peer, tag, nbytes, data.pack_for(cols) if cols is not None else None)
-         for peer, nbytes, cols, tag in data.send_plan]
-    )
+    if data.functional:
+        specs = [(peer, tag, nbytes, data.pack_for(cols))
+                 for peer, nbytes, cols, tag in data.send_plan]
+    else:
+        specs = data.send_specs
+    sends = yield from comm.isend_all(specs)
     return recvs, sends
 
 
@@ -658,8 +664,9 @@ def _complete_gather(ctx: RankContext, recvs, sends):
     """Wait out the gather; unpack received x entries."""
     data: SpmvRankData = ctx.data
     payloads = yield from ctx.comm.waitall(recvs + sends)
-    for req, payload in zip(recvs, payloads):
-        data.unpack(req.peer, payload)
+    if data.functional:
+        for req, payload in zip(recvs, payloads):
+            data.unpack(req.peer, payload)
     if data.recv_bytes:
         yield ctx.memcpy(data.recv_bytes, GATHER_PACK_PENALTY, phase="unpack")
 

@@ -102,3 +102,33 @@ class TestWallInterior:
             walls = box.walls_for_dim(dim)
             assert len(walls) == 2
             assert {w.side for w in walls} == {-1, 1}
+
+
+class TestGeometryOncePerBox:
+    def test_returned_lists_are_fresh(self):
+        box = BoxDecomposition((12, 10, 9), 2)
+        first = box.walls()
+        first.clear()
+        assert len(box.walls()) == 6
+        by_dim = box.walls_for_dim(1)
+        by_dim.append(box.walls()[0])
+        assert box.walls_for_dim(1) == box.walls()[2:4]
+        assert box.walls_for_dim(3) == [] and box.walls_for_dim(-1) == []
+
+    def test_memoized_geometry_equals_a_fresh_box(self):
+        box = BoxDecomposition((12, 10, 9), 2)
+        for _ in range(2):  # first use computes, second reads the memo
+            fresh = BoxDecomposition((12, 10, 9), 2)
+            assert box.walls() == fresh.walls()
+            assert [box.walls_for_dim(d) for d in range(3)] == [
+                [w for w in fresh.walls() if w.dim == d] for d in range(3)
+            ]
+            for w in fresh.walls():
+                lo, hi = box.wall_interior_box(w)
+                assert (lo, hi) == (tuple(max(l, 1) for l in w.lo),
+                                    tuple(min(h, n - 1) for h, n in zip(w.hi, box.shape)))
+
+    def test_a_foreign_wall_is_clipped_too(self):
+        box = BoxDecomposition((10, 10, 10), 2)
+        other = BoxDecomposition((10, 10, 10), 3).walls()[0]
+        assert box.wall_interior_box(other) == ((1, 1, 1), (3, 9, 9))

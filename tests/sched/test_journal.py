@@ -322,6 +322,18 @@ sched.close()
 """
 
 
+def _kill_group(proc):
+    """SIGKILL a driver started in its own session, pool workers included.
+
+    Killing only the driver would orphan its workers, which keep running
+    (and writing to the shared cache) after the test has moved on.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group has exited already
+
+
 def _journal_lines(path):
     try:
         with open(path) as fh:
@@ -347,6 +359,7 @@ class TestSigkillResume:
         proc = subprocess.Popen(
             [sys.executable, str(driver), jp, cache_dir, str(n)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         # Kill as soon as a few results are durably journaled.
         deadline = time.monotonic() + 120.0
@@ -355,8 +368,7 @@ class TestSigkillResume:
                 break
             time.sleep(0.005)
         killed = proc.poll() is None
-        if killed:
-            proc.send_signal(signal.SIGKILL)
+        _kill_group(proc)
         proc.wait()
         done_at_kill = _journal_lines(jp)
         assert done_at_kill >= 3, "driver finished nothing before the kill"
@@ -381,10 +393,15 @@ class TestSigkillResume:
         # worker cached but the parent never journaled (the kill window)
         # come back as cache hits; the remainder is simulated.  Together
         # they cover the whole batch.
-        assert journal_hits >= min(done_at_kill, n) - 1  # minus a torn line
-        assert journal_hits + cache_hits + simulated == n
+        split = (
+            f"journal-hits={journal_hits} cache-hits={cache_hits} "
+            f"simulated={simulated}; {done_at_kill} journaled at the kill "
+            f"(killed={killed})"
+        )
+        assert journal_hits >= min(done_at_kill, n) - 1, split  # minus a torn line
+        assert journal_hits + cache_hits + simulated == n, split
         if killed:
-            assert simulated > 0, "kill landed after the batch completed"
+            assert simulated > 0, "kill landed after the batch completed: " + split
         # Third run: the journal now covers the batch completely.
         out2 = subprocess.run(
             [sys.executable, str(driver), jp, cache_dir, str(n)],
@@ -437,7 +454,7 @@ class TestSigkillBetweenFlushes:
         proc = subprocess.Popen(
             [sys.executable, str(driver), jp, "64"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True,
+            text=True, start_new_session=True,
         )
         acked = []
 
@@ -453,8 +470,7 @@ class TestSigkillBetweenFlushes:
             if len(acked) >= 8 or proc.poll() is not None:
                 break
             time.sleep(0.005)
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
+        _kill_group(proc)
         proc.wait()
         reader.join(timeout=10.0)
         assert len(acked) >= 8, "driver surfaced nothing before the kill"

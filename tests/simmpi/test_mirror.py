@@ -97,7 +97,7 @@ class TestMirrorComm:
                     reqs.append((yield from comm.isend(8, t, 100_000)))
                 for req in reqs:
                     yield from comm.wait(req)
-                longest.append(max(len(q) for q in comm._open.values()))
+                longest.append(max((len(q) for q in comm._open.values()), default=0))
 
         env.process(prog())
         env.run()

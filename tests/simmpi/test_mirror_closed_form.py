@@ -24,9 +24,13 @@ import pytest
 import repro.core.runner as runner
 from repro.core.config import RunConfig
 from repro.des import Environment, Event, SimulationError
-from repro.machines import A100_SXM, EFA_CLOUD, JAGUARPF, MILAN_SS11, YONA
+from repro.machines import A100_SXM, EFA_CLOUD, HOPPER, JAGUARPF, LENS, MILAN_SS11, YONA
+from repro.machines.catalog import MACHINES as CATALOG_MACHINES
 from repro.machines.spec import ProgressModel
+from repro.obs.tracer import Tracer
 from repro.perturb import NoiseSpec
+from repro.perturb.model import Perturbation
+import repro.simmpi.mirror as mirror_module
 from repro.simmpi import MirrorComm, MirrorProfile
 from repro.simmpi.api import RankComm, Request
 
@@ -550,3 +554,344 @@ class TestUnmatchedWait:
                         threads_per_task=6)
         with pytest.raises(SimulationError, match="never posted"):
             runner.run(cfg)
+
+
+# -- batches as columns against the per-message fold ----------------------------
+
+#: Every machine of the catalog (checked against it below).
+CATALOG = (JAGUARPF, HOPPER, LENS, YONA, A100_SXM, MILAN_SS11, EFA_CLOUD)
+#: Message mixes of a batch: on-node/off-node and eager/rendezvous, with a
+#: zero-byte message in the mixed one.
+MIXES = ("mixed", "onnode", "eager", "rendezvous")
+#: Wait orders, one per step: one waitall over both sides either way round,
+#: or one waitall per side either way round.
+ORDERS = ("recvs+sends", "sends+recvs", "recvs,sends", "sends,recvs")
+MODES = ("plain", "traced", "noise-high")
+BATCH_TAGS = 24
+
+
+class PerCallMirrorComm(MirrorComm):
+    """The closed form with the batched calls as per-message loops."""
+
+    irecv_all = RankComm.irecv_all
+    isend_all = RankComm.isend_all
+    waitall = RankComm.waitall
+
+
+def test_catalog_is_covered():
+    assert sorted(m.name for m in CATALOG) == sorted(
+        {m.name for m in CATALOG_MACHINES.values()}
+    )
+
+
+def _mix_comm(comm_cls, machine, model, mix, mode):
+    tags = range(BATCH_TAGS)
+    machine = _with_progress(machine, model)
+    profile = MirrorProfile(
+        interconnect=machine.interconnect, node=machine.node, nranks=4096,
+        tasks_per_node=12,
+        offnode_by_tag={
+            tag: tag % 3 != 0 if mix == "mixed" else mix != "onnode" for tag in tags
+        },
+        nic_share_by_tag={tag: 1.0 + tag % 5 for tag in tags},
+    )
+    env = Environment()
+    comm = comm_cls(env, profile)
+    if mode != "plain":
+        comm.tracer = Tracer()
+    if mode == "noise-high":
+        comm.perturb = Perturbation(11, NoiseSpec.preset("high"))
+        comm.perturb.tracer = comm.tracer
+    return env, comm
+
+
+def _mix_plan(machine, mix):
+    threshold = machine.interconnect.eager_threshold_bytes
+    plan = []
+    for tag in range(BATCH_TAGS):
+        if mix == "eager" or (mix in ("mixed", "onnode") and tag % 2):
+            nbytes = threshold // 2 + tag
+        else:
+            nbytes = 8 * threshold + 8 * tag
+        if mix == "mixed" and tag % 8 == 6:
+            nbytes = 0
+        plan.append((tag, nbytes))
+    return plan
+
+
+def _posts(comm, kind, specs, batched):
+    """Post ``specs`` as one batch or one call at a time."""
+    if batched:
+        call = comm.irecv_all if kind == "recv" else comm.isend_all
+        return (yield from call(specs))
+    call = comm.irecv if kind == "recv" else comm.isend
+    reqs = []
+    for spec in specs:
+        reqs.append((yield from call(*spec)))
+    return reqs
+
+
+def _waits(comm, reqs, batched):
+    if batched:
+        yield from comm.waitall(reqs)
+    else:
+        for req in reqs:
+            yield from comm.wait(req)
+
+
+def _events(comm):
+    if comm.tracer is None:
+        return None
+    return [
+        (e.lane, e.name, e.start, e.end, e.group, e.cat,
+         repr(sorted((e.args or {}).items())))
+        for e in comm.tracer.events
+    ]
+
+
+def _outcome(env, comm, stamps):
+    return (stamps, env.now, comm.messages_sent, comm.bytes_sent,
+            comm.messages_received, comm.bytes_received, _events(comm))
+
+
+def _three_way(program, machine=JAGUARPF, model=ProgressModel.MANUAL_POLL,
+               mix="mixed", mode="plain"):
+    """Run ``program(env, comm, batched, stamps)`` three ways and compare.
+
+    The batched calls on :class:`MirrorComm` must give the very floats, and
+    trace events in the very order, of its per-message calls; the
+    event-chained reference must give the same floats and the same multiset
+    of trace events.
+    """
+    outcomes = []
+    for comm_cls, batched in ((MirrorComm, True), (MirrorComm, False),
+                              (EventChainedMirrorComm, False)):
+        env, comm = _mix_comm(comm_cls, machine, model, mix, mode)
+        stamps = []
+        env.process(program(env, comm, batched, stamps))
+        env.run()
+        outcomes.append(_outcome(env, comm, stamps))
+    batch, loop, ref = outcomes
+    assert batch == loop
+    assert batch[:-1] == ref[:-1]
+    if batch[-1] is not None:
+        assert sorted(batch[-1]) == sorted(ref[-1])
+    return batch
+
+
+def _steps(plan, orders=ORDERS, send_order=None):
+    """A program: per step a receive batch, a gap, a send batch, the waits."""
+    recv_specs = tuple((1, tag, n) for tag, n in plan)
+    send_plan = plan if send_order is None else [plan[i] for i in send_order]
+    send_specs = tuple((2, tag, n, None) for tag, n in send_plan)
+
+    def program(env, comm, batched, stamps):
+        for order in orders:
+            recvs = yield from _posts(comm, "recv", recv_specs, batched)
+            yield env.timeout(2e-6)
+            sends = yield from _posts(comm, "send", send_specs, batched)
+            if order == "recvs+sends":
+                yield from _waits(comm, recvs + sends, batched)
+            elif order == "sends+recvs":
+                yield from _waits(comm, sends + recvs, batched)
+            else:
+                first, second = (recvs, sends) if order == "recvs,sends" else (sends, recvs)
+                yield from _waits(comm, first, batched)
+                stamps.append(env.now)
+                yield from _waits(comm, second, batched)
+            stamps.append(env.now)
+
+    return program
+
+
+class TestBatchedAgainstPerCall:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mix", MIXES)
+    @pytest.mark.parametrize("model", PROGRESS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("machine", CATALOG, ids=lambda m: m.name.replace(" ", "-"))
+    def test_every_machine_model_mix_and_mode(self, machine, model, mix, mode):
+        _three_way(_steps(_mix_plan(machine, mix)), machine, model, mix, mode)
+
+    def test_the_aligned_batch_opens_no_transfer(self):
+        plan = _mix_plan(JAGUARPF, "mixed")
+        recv_specs = tuple((1, tag, n) for tag, n in plan)
+        send_specs = tuple((2, tag, n, None) for tag, n in plan)
+        env, comm = _mix_comm(MirrorComm, JAGUARPF, ProgressModel.MANUAL_POLL,
+                              "mixed", "plain")
+        seen = {}
+
+        def program():
+            recvs = yield from comm.irecv_all(recv_specs)
+            seen["open after recvs"] = dict(comm._open)
+            sends = yield from comm.isend_all(send_specs)
+            seen["kinds"] = (type(recvs), type(sends), type(recvs + sends))
+            yield from comm.waitall(recvs + sends)
+            seen["listed"] = [(r.kind, r.peer, r.tag, r.nbytes, r.completed)
+                              for r in recvs + sends]
+
+        env.process(program())
+        env.run()
+        assert seen["open after recvs"] == {}
+        assert list not in seen["kinds"]
+        assert seen["listed"] == (
+            [("recv", 1, tag, n, True) for tag, n in plan]
+            + [("send", 2, tag, n, True) for tag, n in plan]
+        )
+
+
+    @pytest.mark.parametrize("impl", ADVECTION_MPI + ADVECTION_GPU_MPI)
+    def test_advection_posts_one_message_at_a_time(self, impl, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("advection took the array batch path")
+
+        monkeypatch.setattr(mirror_module._Batch, "__init__", refuse)
+        runner.run(RunConfig(machine=YONA, implementation=impl, cores=48,
+                             threads_per_task=6))
+
+
+class TestBatchFallback:
+    """Batches that do not pair one-to-one take the per-message fold."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_misaligned_sends(self, mode):
+        plan = _mix_plan(JAGUARPF, "mixed")
+        _three_way(_steps(plan, send_order=list(reversed(range(len(plan))))),
+                   mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "misaligned"])
+    def test_reused_tags(self, mode, aligned):
+        threshold = JAGUARPF.interconnect.eager_threshold_bytes
+        plan = [(3, 10 * threshold), (3, threshold // 4), (6, 7 * threshold),
+                (3, 100), (9, threshold), (6, 5 * threshold), (9, 0)]
+        send_order = None if aligned else [1, 0, 2, 3, 5, 4, 6]
+        _three_way(_steps(plan, send_order=send_order), mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_iterated_handles(self, mode):
+        """Reading the requests moves a batch to the per-message form."""
+        plan = _mix_plan(JAGUARPF, "mixed")
+        recv_specs = tuple((1, tag, n) for tag, n in plan)
+        send_specs = tuple((2, tag, n, None) for tag, n in plan)
+
+        def program(env, comm, batched, stamps):
+            # Step 1: the receive handle is read before the sends are posted.
+            recvs = yield from _posts(comm, "recv", recv_specs, batched)
+            assert [(r.peer, r.tag, r.nbytes) for r in recvs] == list(recv_specs)
+            sends = yield from _posts(comm, "send", send_specs, batched)
+            yield from _waits(comm, recvs + sends, batched)
+            stamps.append(env.now)
+            # Step 2: both handles are read after pairing, one request is
+            # waited on by itself, then the whole batch.
+            recvs = yield from _posts(comm, "recv", recv_specs, batched)
+            sends = yield from _posts(comm, "send", send_specs, batched)
+            assert [r.tag for r in sends] == [tag for tag, _ in plan]
+            yield from comm.wait(list(recvs)[5])
+            stamps.append(env.now)
+            yield from _waits(comm, recvs + sends, batched)
+            stamps.append(env.now)
+
+        _three_way(program, mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_single_posts_while_a_batch_is_pending(self, mode):
+        plan = _mix_plan(JAGUARPF, "mixed")
+        recv_specs = tuple((1, tag, n) for tag, n in plan)
+        send_specs = tuple((2, tag, n, None) for tag, n in plan)
+
+        def program(env, comm, batched, stamps):
+            recvs = yield from _posts(comm, "recv", recv_specs, batched)
+            first = yield from comm.isend(*send_specs[0])
+            sends = yield from _posts(comm, "send", send_specs[1:], batched)
+            extra = yield from comm.irecv(1, 99, 64)
+            own = yield from comm.isend(2, 99, 64)
+            yield from _waits(comm, recvs, batched)
+            yield from comm.wait(first)
+            yield from _waits(comm, sends, batched)
+            yield from comm.waitall([extra, own])
+            stamps.append(env.now)
+
+        _three_way(program, mode=mode)
+
+
+class TestBatchWaitNeverCompletes:
+    def test_receive_batch_without_its_sends(self):
+        env, comm = _mix_comm(MirrorComm, JAGUARPF, ProgressModel.MANUAL_POLL,
+                              "mixed", "plain")
+        specs = tuple((1, tag, n) for tag, n in [(7, 100), (8, 10_000_000)])
+
+        def program():
+            recvs = yield from comm.irecv_all(specs)
+            yield from comm.waitall(recvs)
+
+        env.process(program())
+        with pytest.raises(SimulationError, match=r"recv with tag 7\b.*own send"):
+            env.run()
+
+    def test_send_batch_without_its_receives(self):
+        env, comm = _mix_comm(MirrorComm, JAGUARPF, ProgressModel.MANUAL_POLL,
+                              "mixed", "plain")
+        specs = tuple((2, tag, n, None) for tag, n in [(4, 10_000_000), (6, 100)])
+
+        def program():
+            sends = yield from comm.isend_all(specs)
+            yield from comm.waitall(sends)
+
+        env.process(program())
+        with pytest.raises(SimulationError, match=r"send with tag 4\b.*own receive"):
+            env.run()
+
+
+#: (cores, threads) per catalog machine for the runner-level SpMV checks:
+#: more than one node, so the gather mixes on-node and off-node peers.
+SPMV_POINTS = {
+    "JaguarPF": (96, 6), "Hopper II": (96, 6), "Lens": (64, 4), "Yona": (48, 6),
+    "A100-SXM": (256, 16), "Milan-SS11": (512, 16), "EFA-Cloud": (192, 12),
+}
+
+
+def _comm_events(result):
+    """The communicator's own trace events, in the order they were recorded.
+
+    Only these keep their order: a per-message call wakes the rank once per
+    message, so other processes' events interleave with them differently.
+    """
+    return [
+        (e.lane, e.name, e.start, e.end, e.group,
+         repr(sorted((e.args or {}).items())))
+        for e in result.tracer.events if e.cat == "comm"
+    ]
+
+
+def _assert_batches_same(cfg, monkeypatch):
+    new = runner.run(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(runner, "MirrorComm", PerCallMirrorComm)
+        loop = runner.run(cfg)
+    assert new.elapsed_s == loop.elapsed_s
+    assert new.phases == loop.phases
+    assert new.comm_stats == loop.comm_stats
+    if cfg.trace:
+        assert _intervals(new) == _intervals(loop)
+        assert _comm_events(new) == _comm_events(loop)
+    _assert_same(cfg, monkeypatch)
+
+
+class TestSpmvBatches:
+    @pytest.mark.parametrize("noisy", [False, True], ids=["traced", "traced-noise-high"])
+    @pytest.mark.parametrize("model", PROGRESS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("machine", CATALOG, ids=lambda m: m.name.replace(" ", "-"))
+    def test_gather(self, machine, model, noisy, monkeypatch):
+        cores, threads = SPMV_POINTS[machine.name]
+        impls = ["bulk", "nonblocking"]
+        if machine.gpu is not None:
+            impls.append("hybrid_overlap")
+        extra = dict(seed=11, noise=NoiseSpec.preset("high")) if noisy else {}
+        for impl in impls:
+            _assert_batches_same(
+                RunConfig(machine=_with_progress(machine, model),
+                          implementation=impl, cores=cores,
+                          threads_per_task=threads, trace=True, workload="spmv",
+                          workload_params=SPMV_PARAMS, **extra),
+                monkeypatch,
+            )

@@ -251,9 +251,6 @@ class TestMultiNic:
         assert elapsed(2) < elapsed(1)
 
     def test_mirror_divides_nic_share(self):
-        from types import SimpleNamespace
-
-        xfer = SimpleNamespace(local=False, tag=1)
         ic = replace(YONA.interconnect, nics_per_node=2)
         base = MirrorProfile(
             interconnect=YONA.interconnect, node=YONA.node, nranks=8,
@@ -265,4 +262,5 @@ class TestMultiNic:
         c1 = MirrorComm(env1, base)
         c2 = MirrorComm(env2, multi)
         # halving the contenders per rail raises the per-rank wire rate
-        assert c2._wire_rate(xfer) > c1._wire_rate(xfer)
+        assert not c1._link(1)[0] and not c2._link(1)[0]  # tag 1 is off-node
+        assert c2._link(1)[1] > c1._link(1)[1]
